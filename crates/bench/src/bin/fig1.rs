@@ -10,14 +10,11 @@
 //! vs 64 on a saturated small-value write workload), a **lane ablation**
 //! (1 vs 2 vs 4 parallel ring lanes on the saturated multi-object write
 //! workload), a **pipelining ablation** (client session window 1 vs 8
-//! vs 64 at a fixed small client count) and three **TCP-runtime
-//! ablations** over real sockets — zero-copy inbound decode off vs on
-//! under saturated 64 KiB writes, the reader-thread read fast path
-//! off vs on under a read-heavy 64 KiB mix, and the epoll **reactor
-//! backend** vs the thread-per-connection baseline (saturated 64 B,
-//! saturated 64 KiB, and 64 sessions × window 8, with a measured
-//! threads-per-node column) — so the performance trajectory of future
-//! changes can be diffed mechanically.
+//! vs 64 at a fixed small client count) and a **TCP-runtime ablation**
+//! over real sockets — the lock-free read fast path off vs on under a
+//! read-heavy 64 KiB mix — so the performance trajectory of future
+//! changes can be diffed mechanically. (The retired zero-copy and
+//! reactor ablations keep their final tables in EXPERIMENTS.md.)
 //!
 //! Pass `--smoke` for a seconds-long CI run: identical report shape,
 //! tiny measurement windows.
@@ -341,11 +338,10 @@ fn main() {
         window64.write_mbps / window1.write_mbps
     );
 
-    // TCP-runtime ablations: everything above runs in the packet model,
-    // which never touches the wire codec — these two run the real
-    // threaded TCP runtime on localhost, so the zero-copy decode path
-    // and the reader-thread read fast path are measured where they
-    // exist. Windows are short (sockets, not simulated time).
+    // TCP-runtime ablation: everything above runs in the packet model,
+    // which never touches the wire codec — this one runs the real TCP
+    // runtime on localhost, so the read fast path is measured where it
+    // exists. Windows are short (sockets, not simulated time).
     let (tcp_warmup, tcp_measure) = if smoke {
         (Duration::from_millis(100), Duration::from_millis(250))
     } else {
@@ -353,86 +349,25 @@ fn main() {
     };
     let tcp_value_size = 64 * 1024usize;
 
-    /// One TCP ablation row: the run's measurement plus rendered
-    /// latency JSON and the window's server-side ring-write histogram.
+    /// One TCP ablation row: the run's measurement plus its rendered
+    /// read latencies.
     struct TcpRow {
         knob: bool,
         m: TcpMeasurement,
-        write_latency_json: String,
         read_latency_json: String,
-        write_p50_ms: f64,
-        write_p99_ms: f64,
         read_p50_ms: f64,
         read_p99_ms: f64,
-        ring_write: HistogramSnapshot,
     }
     let run_tcp_row = |knob: bool, params: TcpParams| {
-        let ring_write0 = hts_metrics::histogram("hts_net_ring_write_nanos").snapshot();
         let mut m = run_tcp(&params);
-        let ring_write = hts_metrics::histogram("hts_net_ring_write_nanos")
-            .snapshot()
-            .since(&ring_write0);
         TcpRow {
             knob,
-            write_latency_json: latency_object(&mut m.write_lat_nanos),
             read_latency_json: latency_object(&mut m.read_lat_nanos),
-            write_p50_ms: hts_bench::percentile_ms(&mut m.write_lat_nanos, 50.0),
-            write_p99_ms: hts_bench::percentile_ms(&mut m.write_lat_nanos, 99.0),
             read_p50_ms: hts_bench::percentile_ms(&mut m.read_lat_nanos, 50.0),
             read_p99_ms: hts_bench::percentile_ms(&mut m.read_lat_nanos, 99.0),
-            ring_write,
             m,
         }
     };
-
-    let tcp_writers = 12u32;
-    println!();
-    println!(
-        "## Zero-copy decode ablation (TCP runtime, n=3, {tcp_writers} writers, 64 KiB values)"
-    );
-    println!();
-    println!(
-        "| zero_copy | writes completed | write Mbit/s | p50 ms | p99 ms | \
-         srv ring-write p99 ms | cpu us/op |"
-    );
-    println!("|---|---|---|---|---|---|---|");
-    let mut zero_copy_rows = Vec::new();
-    for zero_copy in [false, true] {
-        let row = run_tcp_row(
-            zero_copy,
-            TcpParams {
-                n: 3,
-                writers: tcp_writers,
-                readers: 0,
-                value_size: tcp_value_size,
-                warmup: tcp_warmup,
-                measure: tcp_measure,
-                config: hts_core::Config {
-                    zero_copy,
-                    ..hts_core::Config::default()
-                },
-                ..TcpParams::default()
-            },
-        );
-        println!(
-            "| {} | {} | {:.2} | {:.2} | {:.2} | {:.3} | {:.1} |",
-            row.knob,
-            row.m.writes,
-            row.m.write_mbps,
-            row.write_p50_ms,
-            row.write_p99_ms,
-            quantile_ms(row.ring_write.p99()),
-            row.m.cpu_us_per_op,
-        );
-        zero_copy_rows.push(row);
-    }
-    let zc_off = zero_copy_rows.first().expect("zero_copy=false row");
-    let zc_on = zero_copy_rows.last().expect("zero_copy=true row");
-    println!();
-    println!(
-        "zero-copy speedup on saturated 64 KiB writes: {:.2}x",
-        zc_on.m.write_mbps / zc_off.m.write_mbps
-    );
 
     let tcp_readers = 8u32;
     println!();
@@ -485,87 +420,6 @@ fn main() {
         fp_on.m.read_mbps / fp_off.m.read_mbps
     );
 
-    // Reactor ablation: the identical protocol over the two `hts-net`
-    // backends — readiness-driven per-lane reactors (`Config::reactor`,
-    // the Linux default) vs the thread-per-connection baseline. Three
-    // workloads: saturated small writes (syscall/context-switch bound,
-    // where the reactor's coalescing and thread economy pay), saturated
-    // 64 KiB writes (byte bound, both backends should push similar
-    // Mbit/s), and a high-connection-count row (64 pipelined sessions ×
-    // window 8) where the threaded backend's 2-threads-per-connection
-    // tax is the headline: the reactor serves it all on lanes + 1
-    // threads per node.
-    let reactor_lanes = 4u16;
-    let reactor_available =
-        cfg!(target_os = "linux") && std::env::var_os("HTS_REACTOR").is_none_or(|v| v != "0");
-    struct ReactorRow {
-        reactor: bool,
-        workload: &'static str,
-        ops: u64,
-        mbps: f64,
-        p50_ms: f64,
-        p99_ms: f64,
-        latency_json: String,
-        cpu_us_per_op: f64,
-        threads_per_node: f64,
-    }
-    println!();
-    println!(
-        "## Reactor ablation (TCP runtime, n=3, lanes={reactor_lanes}, threaded vs epoll reactor)"
-    );
-    println!();
-    println!(
-        "| workload | reactor | ops completed | Mbit/s | p50 ms | p99 ms | cpu us/op | \
-         threads/node |"
-    );
-    println!("|---|---|---|---|---|---|---|---|");
-    let mut reactor_rows: Vec<ReactorRow> = Vec::new();
-    for (workload, writers, value_size, window) in [
-        ("write_64b_saturated", 32u32, 64usize, 1usize),
-        ("write_64kib_saturated", 12, 64 * 1024, 1),
-        ("sessions_64_window_8", 64, 64, 8),
-    ] {
-        for reactor in [false, true] {
-            let mut m = run_tcp(&TcpParams {
-                n: 3,
-                writers,
-                readers: 0,
-                value_size,
-                warmup: tcp_warmup,
-                measure: tcp_measure,
-                window,
-                distinct_objects: true,
-                config: hts_core::Config {
-                    lanes: reactor_lanes,
-                    reactor,
-                    ..hts_core::Config::default()
-                },
-            });
-            let row = ReactorRow {
-                reactor,
-                workload,
-                ops: m.writes,
-                mbps: m.write_mbps,
-                p50_ms: hts_bench::percentile_ms(&mut m.write_lat_nanos, 50.0),
-                p99_ms: hts_bench::percentile_ms(&mut m.write_lat_nanos, 99.0),
-                latency_json: latency_object(&mut m.write_lat_nanos),
-                cpu_us_per_op: m.cpu_us_per_op,
-                threads_per_node: m.threads_per_node,
-            };
-            println!(
-                "| {workload} | {} | {} | {:.2} | {:.3} | {:.3} | {:.1} | {:.1} |",
-                row.reactor,
-                row.ops,
-                row.mbps,
-                row.p50_ms,
-                row.p99_ms,
-                row.cpu_us_per_op,
-                row.threads_per_node,
-            );
-            reactor_rows.push(row);
-        }
-    }
-
     let ablation_row_json = |knob: &str, row: &AblationRow| {
         format!(
             r#"    {{"{knob}": {}, "writes_completed": {}, "write_throughput_mbps": {}, "write_latency": {}, "server_write_latency": {}, "cpu_us_per_op": {}}}"#,
@@ -588,35 +442,6 @@ fn main() {
     let pipeline_rows: Vec<String> = pipeline_ablation
         .iter()
         .map(|row| ablation_row_json("window", row))
-        .collect();
-    let zero_copy_json: Vec<String> = zero_copy_rows
-        .iter()
-        .map(|row| {
-            format!(
-                r#"    {{"zero_copy": {}, "writes_completed": {}, "write_throughput_mbps": {}, "write_latency": {}, "server_ring_write_latency": {}, "cpu_us_per_op": {}}}"#,
-                row.knob,
-                row.m.writes,
-                json_f64(row.m.write_mbps),
-                row.write_latency_json,
-                histogram_latency_object(&row.ring_write),
-                json_f64(row.m.cpu_us_per_op),
-            )
-        })
-        .collect();
-    let reactor_json: Vec<String> = reactor_rows
-        .iter()
-        .map(|row| {
-            format!(
-                r#"    {{"workload": "{}", "reactor": {}, "ops_completed": {}, "throughput_mbps": {}, "latency": {}, "cpu_us_per_op": {}, "threads_per_node": {}}}"#,
-                row.workload,
-                row.reactor,
-                row.ops,
-                json_f64(row.mbps),
-                row.latency_json,
-                json_f64(row.cpu_us_per_op),
-                json_f64(row.threads_per_node),
-            )
-        })
         .collect();
     let fastpath_json: Vec<String> = fastpath_rows
         .iter()
@@ -687,29 +512,11 @@ fn main() {
 {}
     ]
   }},
-  "tcp_zero_copy_ablation": {{
-    "n": 3,
-    "value_size_bytes": {},
-    "writers": {},
-    "measure_seconds": {},
-    "rows": [
-{}
-    ]
-  }},
   "tcp_read_fastpath_ablation": {{
     "n": 3,
     "value_size_bytes": {},
     "writers": 1,
     "readers": {},
-    "measure_seconds": {},
-    "rows": [
-{}
-    ]
-  }},
-  "tcp_reactor_ablation": {{
-    "n": 3,
-    "lanes": {},
-    "reactor_available": {},
     "measure_seconds": {},
     "rows": [
 {}
@@ -749,17 +556,9 @@ fn main() {
         json_f64(measure.as_secs_f64()),
         pipeline_rows.join(",\n"),
         tcp_value_size,
-        tcp_writers,
-        json_f64(tcp_measure.as_secs_f64()),
-        zero_copy_json.join(",\n"),
-        tcp_value_size,
         tcp_readers,
         json_f64(tcp_measure.as_secs_f64()),
         fastpath_json.join(",\n"),
-        reactor_lanes,
-        reactor_available,
-        json_f64(tcp_measure.as_secs_f64()),
-        reactor_json.join(",\n"),
     );
     match write_report("fig1", &body) {
         Ok(path) => println!("wrote {}", path.display()),
@@ -784,29 +583,11 @@ fn main() {
         window8.write_mbps,
         window1.write_mbps
     );
-    // Zero-copy's honest win on a localhost closed loop is CPU per op
-    // (the removed allocations, zeroing and memcpys), not throughput —
-    // loopback sockets are latency-bound here, so Mbit/s only gets a
-    // generous no-regression guard while the CPU column must improve.
-    // (NaN = platform without CPU accounting: direction unknowable.)
-    assert!(
-        smoke || zc_on.m.cpu_us_per_op.is_nan() || zc_on.m.cpu_us_per_op < zc_off.m.cpu_us_per_op,
-        "zero-copy regression: zero_copy=true ({:.1} us/op) must burn less CPU than the \
-         copying baseline ({:.1} us/op) on saturated 64 KiB writes",
-        zc_on.m.cpu_us_per_op,
-        zc_off.m.cpu_us_per_op
-    );
-    assert!(
-        smoke || zc_on.m.write_mbps > 0.85 * zc_off.m.write_mbps,
-        "zero-copy regression: zero_copy=true ({:.2} Mbit/s) fell more than 15% below the \
-         copying baseline ({:.2} Mbit/s)",
-        zc_on.m.write_mbps,
-        zc_off.m.write_mbps
-    );
-    // Same story as zero-copy: on a loopback closed loop the honest win
-    // of answering reads on the reader thread is the skipped event-loop
-    // hop — CPU per op — while Mbit/s is latency-/scheduler-bound and
-    // only gets a no-regression guard.
+    // On a localhost closed loop the honest win of answering reads from
+    // the snapshot cell is the skipped core call — CPU per op — while
+    // Mbit/s is latency-/scheduler-bound and only gets a no-regression
+    // guard. (NaN = platform without CPU accounting: direction
+    // unknowable.)
     assert!(
         smoke || fp_on.m.cpu_us_per_op.is_nan() || fp_on.m.cpu_us_per_op < fp_off.m.cpu_us_per_op,
         "read-fast-path regression: read_fast_path=true ({:.1} us/op) must burn less CPU \
@@ -821,18 +602,18 @@ fn main() {
         fp_on.m.read_mbps,
         fp_off.m.read_mbps
     );
-    // The reader-thread shortcut must actually fire when enabled and
+    // The snapshot shortcut must actually fire when enabled and
     // must stay completely out of the way when disabled — dead (or
     // undead) counters mean the net layer stopped honouring the knob.
     // Metrics off compiles the counters to no-ops.
     if cfg!(feature = "metrics") {
         assert!(
             fp_on.m.fastpath_hits > 0,
-            "read_fast_path=true run recorded zero reader-thread fast-path hits"
+            "read_fast_path=true run recorded zero fast-path hits"
         );
         assert!(
             fp_off.m.fastpath_hits == 0 && fp_off.m.fastpath_fallbacks == 0,
-            "read_fast_path=false run still consulted the reader-thread shortcut \
+            "read_fast_path=false run still consulted the snapshot shortcut \
              ({} hits, {} fallbacks)",
             fp_off.m.fastpath_hits,
             fp_off.m.fastpath_fallbacks
@@ -862,57 +643,6 @@ fn main() {
             assert!(
                 baseline_server.cpu_us_per_op.is_finite(),
                 "cpu_us_per_op must be measurable on linux"
-            );
-        }
-    }
-    // Reactor ablation invariants. Smoke included: every row must carry
-    // a real thread census (the CI gate for silently-dead
-    // instrumentation); the performance directions are asserted on full
-    // runs only.
-    if cfg!(feature = "metrics") {
-        for row in &reactor_rows {
-            assert!(
-                row.threads_per_node.is_finite() && row.threads_per_node > 0.0,
-                "reactor ablation row ({}, reactor={}) has no thread census",
-                row.workload,
-                row.reactor
-            );
-        }
-        if reactor_available {
-            let find = |workload: &str, reactor: bool| {
-                reactor_rows
-                    .iter()
-                    .find(|r| r.workload == workload && r.reactor == reactor)
-                    .expect("ablation row exists")
-            };
-            // The tentpole's headline: a reactor node under 64 sessions
-            // runs on exactly lanes + 1 threads; the threaded backend
-            // needs several times that for the same load.
-            let sessions_on = find("sessions_64_window_8", true);
-            let sessions_off = find("sessions_64_window_8", false);
-            assert!(
-                (sessions_on.threads_per_node - f64::from(reactor_lanes + 1)).abs() < 0.51,
-                "reactor threads-per-node is {:.1}, expected lanes + 1 = {}",
-                sessions_on.threads_per_node,
-                reactor_lanes + 1
-            );
-            assert!(
-                smoke || sessions_off.threads_per_node >= 3.0 * sessions_on.threads_per_node,
-                "threaded backend ran 64 sessions on only {:.1} threads/node (reactor: {:.1}) — \
-                 the ablation no longer demonstrates the thread economy",
-                sessions_off.threads_per_node,
-                sessions_on.threads_per_node
-            );
-            let small_on = find("write_64b_saturated", true);
-            let small_off = find("write_64b_saturated", false);
-            assert!(
-                smoke
-                    || small_on.cpu_us_per_op.is_nan()
-                    || small_on.cpu_us_per_op < small_off.cpu_us_per_op,
-                "reactor regression: reactor=true ({:.1} us/op) must burn less CPU than the \
-                 threaded backend ({:.1} us/op) on saturated 64 B writes",
-                small_on.cpu_us_per_op,
-                small_off.cpu_us_per_op
             );
         }
     }

@@ -1,7 +1,7 @@
 //! Real-socket load harness: drives a live [`Cluster`] (the `hts-net`
 //! TCP runtime — actual threads, actual sockets, actual codec work) with
 //! closed-loop blocking clients, so the zero-copy decode path and the
-//! reader-thread read fast path are exercised for real. The packet-model
+//! read fast path are exercised for real. The packet-model
 //! harness in [`harness`](crate::harness) never touches the wire codec;
 //! this one is nothing but the wire.
 //!
@@ -78,20 +78,14 @@ pub struct TcpMeasurement {
     pub write_lat_nanos: Vec<u64>,
     /// Per-read wall-clock latencies (nanoseconds), window only.
     pub read_lat_nanos: Vec<u64>,
-    /// Reads answered on the connection's reader thread (window delta of
+    /// Reads answered from the snapshot cell (window delta of
     /// `hts_net_read_fastpath_hits_total`; 0 with metrics off).
     pub fastpath_hits: u64,
-    /// Reads that fell back to the lane event loop (window delta).
+    /// Reads that fell back to the protocol core (window delta).
     pub fastpath_fallbacks: u64,
     /// Whole-process CPU microseconds per completed operation over the
     /// window (`NaN` where unsupported).
     pub cpu_us_per_op: f64,
-    /// Server-side OS threads per node, sampled at the end of the
-    /// measurement window (`hts_net_threads` gauge / `n`; 0 with metrics
-    /// off). The reactor backend's whole point: `lanes + 1` regardless
-    /// of connection count, where the threaded backend grows with every
-    /// client and ring peer.
-    pub threads_per_node: f64,
 }
 
 const WARMUP: u8 = 0;
@@ -195,9 +189,6 @@ pub fn run_tcp(params: &TcpParams) -> TcpMeasurement {
     let cpu0 = hts_metrics::process_cpu_nanos();
     phase.store(MEASURE, Ordering::SeqCst);
     std::thread::sleep(params.measure);
-    // Sampled mid-run, while every connection is up: the steady-state
-    // server-side thread census this load actually costs.
-    let server_threads = hts_metrics::gauge("hts_net_threads").get().max(0) as f64;
     phase.store(DONE, Ordering::SeqCst);
     let hits = hts_metrics::counter("hts_net_read_fastpath_hits_total").get() - hits0;
     let falls = hts_metrics::counter("hts_net_read_fastpath_fallbacks_total").get() - falls0;
@@ -238,6 +229,5 @@ pub fn run_tcp(params: &TcpParams) -> TcpMeasurement {
         fastpath_hits: hits,
         fastpath_fallbacks: falls,
         cpu_us_per_op,
-        threads_per_node: server_threads / f64::from(params.n),
     }
 }

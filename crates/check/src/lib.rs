@@ -32,10 +32,8 @@
 //! new violations fail CI, fixed ones shrink the ratchet. Run with
 //! `cargo run -p hts-check -- --ci`.
 //!
-//! The companion *runtime* checks — the lock-order race detector the CI
-//! `lockorder` job enables, and the `hts-mc` model checker the
-//! `modelcheck` job runs — live in `hts_types::sync` (behind the
-//! `lock-order` feature) and `crates/mc`.
+//! The companion *runtime* check — the `hts-mc` model checker the CI
+//! `modelcheck` job runs — lives in `crates/mc`.
 
 pub mod baseline;
 pub mod lexer;

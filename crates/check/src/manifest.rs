@@ -14,7 +14,7 @@
 //! "crates/core/src/snapshot.rs" = "crates/mc/tests/models.rs"
 //!
 //! [exempt]
-//! "crates/types/src/sync.rs" = "NEXT_ID is a pure id allocator"
+//! "crates/net/src/reactor.rs" = "a monotonic stop flag"
 //! ```
 //!
 //! The check is two-sided: an unmanifested atomic is a violation, and so

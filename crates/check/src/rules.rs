@@ -306,15 +306,7 @@ fn rule_l2(file: &str, toks: &[Tok<'_>], out: &mut Vec<Violation>) {
 }
 
 /// Blocking calls a lock guard must not be bound across.
-const BLOCKING_CALLS: [&str; 7] = [
-    "write_all",
-    "flush",
-    "sync_all",
-    "sync_data",
-    "fsync",
-    "write_message_with",
-    "write_ring_frames",
-];
+const BLOCKING_CALLS: [&str; 5] = ["write_all", "flush", "sync_all", "sync_data", "fsync"];
 
 fn rule_l3(file: &str, toks: &[Tok<'_>], out: &mut Vec<Violation>) {
     struct Guard {
@@ -541,11 +533,8 @@ fn rule_l5(file: &str, toks: &[Tok<'_>], comments: &[Comment], out: &mut Vec<Vio
 /// throughput regression, not a style nit. The metrics helpers
 /// (`hts_metrics::now_nanos`, the `counter!`-family macros) are designed
 /// alloc-free and are not in the flagged construct set.
-const HOT_FUNCTIONS: [&str; 15] = [
-    "ring_writer",
-    "ring_in_loop",
+const HOT_FUNCTIONS: [&str; 12] = [
     "drain_batch",
-    "next_batch",
     "next_frame",
     "drain_frames",
     "drain_frames_with",
@@ -783,8 +772,7 @@ mod tests {
 
     #[test]
     fn l6_flags_clocks_and_allocs_in_hot_functions_only() {
-        let src =
-            "fn ring_writer() {\n    let d = Instant::now();\n    let mut b = Vec::new();\n    \
+        let src = "fn pump() {\n    let d = Instant::now();\n    let mut b = Vec::new();\n    \
                    let s = format!(\"x\");\n    let v = slice.to_vec();\n}\n\
                    fn cold_path() {\n    let d = Instant::now();\n    let b = Vec::new();\n}\n";
         assert_eq!(

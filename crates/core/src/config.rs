@@ -147,10 +147,11 @@ pub struct Config {
     /// Let a read return immediately when the locally stored tag already
     /// dominates every pending pre-write (ablation A2). The paper always
     /// waits for the next `write` message. The TCP runtime additionally
-    /// gates its reader-thread snapshot shortcut on this: with the flag
-    /// on, an unblocked read is answered from the seqlock snapshot cell
-    /// right on the connection's reader thread; off, every read takes
-    /// the event-loop hop.
+    /// gates its snapshot shortcut on this: with the flag on, an
+    /// unblocked read is answered from the seqlock snapshot cell by the
+    /// lane thread that owns the client's socket, without a call into
+    /// the protocol core (or a hop to the object's lane); off, every
+    /// read goes through the core.
     pub read_fast_path: bool,
     /// Scheduling of local writes vs. forwarded traffic.
     pub fairness: FairnessMode,
@@ -174,26 +175,6 @@ pub struct Config {
     /// up to 64 frames per wire message; this changes scheduling
     /// granularity only, never protocol semantics.
     pub batching: BatchConfig,
-    /// Zero-copy inbound decode in the `hts-net` runtime (default on).
-    /// Each received wire message lands in one refcounted buffer and its
-    /// values are decoded as **views** of it; with this off, the server
-    /// re-decodes through the copying path (one fresh allocation and
-    /// copy per value) — the pre-zero-copy runtime, kept as the fig1
-    /// ablation baseline. Wire format and protocol semantics are
-    /// identical either way; simulators ignore the flag (they pass
-    /// values by refcount already).
-    pub zero_copy: bool,
-    /// Readiness-driven (epoll reactor) runtime in `hts-net` (default
-    /// on under Linux, off elsewhere). On, each lane's event loop is a
-    /// reactor that owns its sockets directly — accepting, reading,
-    /// coalescing and writing on epoll readiness — so a node runs on
-    /// `lanes + 1` threads regardless of connection count. Off, the
-    /// thread-per-socket backend (spawned reader per inbound
-    /// connection, writer thread per client and ring peer) runs
-    /// instead — kept verbatim as the fig1 ablation baseline and the
-    /// non-Linux fallback. Wire format and protocol semantics are
-    /// byte-identical either way; simulators ignore the flag.
-    pub reactor: bool,
     /// Parallel ring **lanes** (default 1). Objects are partitioned
     /// across `lanes` fully independent ring instances
     /// ([`LaneMap`](crate::LaneMap) placement): each lane owns its own
@@ -219,8 +200,6 @@ impl Default for Config {
             client_timeout: Nanos::from_millis(250),
             durability: Durability::Volatile,
             batching: BatchConfig::default(),
-            zero_copy: true,
-            reactor: cfg!(target_os = "linux"),
             lanes: 1,
         }
     }
@@ -247,10 +226,6 @@ mod tests {
         assert!(c.adopt_orphans);
         assert_eq!(c.durability, Durability::Volatile);
         assert!(!c.durability.is_persistent());
-        assert!(c.zero_copy);
-        // The reactor changes scheduling, never semantics: it defaults
-        // on exactly where its epoll substrate exists.
-        assert_eq!(c.reactor, cfg!(target_os = "linux"));
         assert_eq!(c.lanes, 1);
         assert_eq!(c, Config::paper());
     }

@@ -779,7 +779,6 @@ impl ServerCore {
             self.stats.duplicates_dropped += 1;
             return;
         }
-        self.note_write_seen(tag);
 
         // Resolve the committed value: carried explicitly, from the
         // pending cache filled by the matching pre-write, or from a
@@ -795,9 +794,11 @@ impl ServerCore {
         match &resolved {
             Some(v) => self.apply(tag, v.clone()),
             None => {
-                // Only already-applied tags may lack a cached value.
+                // Only already-applied tags may lack a cached value —
+                // or, at a resyncing rejoiner, commits whose pre-write
+                // only its previous incarnation saw (see below).
                 debug_assert!(
-                    tag <= self.stored_tag,
+                    tag <= self.stored_tag || self.syncing,
                     "tag-only write {tag} without a cached pre-write at {me} \
                      (stored {stored}, syncing {syncing}, pending {pending:?}, \
                      write_seen {seen:?})",
@@ -808,6 +809,17 @@ impl ServerCore {
                     seen = self.write_seen,
                 );
             }
+        }
+        // A commit this server could not apply must not count as seen.
+        // A restart can outrun failure detection: the predecessor never
+        // splices the old incarnation out and forwards the new one the
+        // commits of pre-writes only the old one saw. The value then
+        // arrives in the predecessor's recovery copy of the same commit
+        // (same tag, value attached), which the watermark would
+        // otherwise drop as a duplicate — leaving the rejoiner serving
+        // the older value it restored.
+        if tag <= self.stored_tag {
+            self.note_write_seen(tag);
         }
 
         // Subsumption (DESIGN.md §4.2): a committed tag proves every lower

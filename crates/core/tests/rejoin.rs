@@ -529,3 +529,40 @@ fn own_pre_write_returning_to_a_restarted_origin_commits() {
     assert_eq!(notice.tag, tag);
     assert_eq!(notice.value, Some(Value::from_u64(42)));
 }
+
+#[test]
+fn unresolvable_commit_at_a_rejoiner_leaves_its_recovery_copy_applicable() {
+    // A restart can outrun failure detection: the predecessor never
+    // splices the crashed server out and forwards the new incarnation
+    // the commit notice of a pre-write only the old incarnation saw.
+    // That tag-only notice cannot be resolved; the predecessor's
+    // recovery copy of the same commit (same tag, value attached)
+    // follows, and must still apply rather than be dropped as a
+    // duplicate — else the rejoiner serves the older value it restored.
+    use hts_core::ServerCore;
+    use hts_types::{RingFrame, Tag};
+
+    let mut s1 = ServerCore::new(ServerId(1), 3, ObjectId::SINGLE, durable_config());
+    s1.restore(Tag::new(3, ServerId(1)), Value::from_u64(3));
+    s1.begin_sync();
+
+    let tag = Tag::new(5, ServerId(0));
+    s1.on_frame(RingFrame::write(ObjectId::SINGLE, tag));
+    // Forwarded tag-only: the successor resolves it from its pending
+    // cache (the pre-write went around through the old incarnation).
+    let forwarded = s1.next_frame().expect("commit notice forwarded");
+    assert_eq!(forwarded.write.map(|n| (n.tag, n.value)), Some((tag, None)));
+
+    s1.on_frame(RingFrame::write_with_value(
+        ObjectId::SINGLE,
+        tag,
+        Value::from_u64(5),
+    ));
+    let (stored_tag, stored_value) = s1.stored();
+    assert_eq!(stored_tag, tag, "recovery copy dropped as a duplicate");
+    assert_eq!(stored_value, &Value::from_u64(5));
+
+    let mut actions = s1.finish_sync();
+    actions.extend(s1.on_client_read(ClientId(0), RequestId(9)));
+    assert_eq!(read_value(&actions, 9), Some(Value::from_u64(5)));
+}

@@ -296,8 +296,8 @@ impl<T> McMutex<T> {
         self as *const _ as usize
     }
 
-    /// Poison-recovering lock (matches `DebugMutex` semantics: a
-    /// panicking holder already aborted the run that mattered).
+    /// Poison-recovering lock (a panicking holder already aborted the
+    /// run that mattered).
     pub fn lock(&self) -> McMutexGuard<'_, T> {
         match ctx() {
             Some((exec, me)) => {

@@ -122,7 +122,7 @@ impl Cluster {
             .map(|base| base.join(format!("server-{}", s.0)))
     }
 
-    /// Crashes one server (kills its event loop and every connection;
+    /// Crashes one server (kills its lane threads and every connection;
     /// its WAL directory, if any, survives for a [`restart`](Cluster::restart)).
     ///
     /// # Errors
@@ -169,17 +169,17 @@ impl Cluster {
     }
 
     /// Fetches server `s`'s live metrics registry (Prometheus-style text
-    /// exposition) over a throwaway [`Client`](crate::Client) connection.
-    /// The caller's client id space is untouched: the probe uses the
-    /// reserved id `u32::MAX`.
+    /// exposition) over a throwaway [`Session`](crate::Session)
+    /// connection; see [`Session::stats`](crate::Session::stats). The
+    /// caller's client id space is untouched: the probe uses the reserved
+    /// id `u32::MAX`.
     ///
     /// # Errors
     ///
     /// Connect/timeout errors against that server — including when it is
     /// currently crashed.
     pub fn stats(&self, s: ServerId) -> io::Result<String> {
-        let mut probe = crate::Client::connect_preferring(u32::MAX, self.addrs(), s)?;
-        probe.stats(s)
+        crate::Session::connect_preferring(u32::MAX, self.addrs(), s, 1)?.stats(s)
     }
 
     /// Number of servers still running.

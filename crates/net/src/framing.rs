@@ -1,13 +1,12 @@
 //! Length-prefixed message framing over TCP.
 //!
 //! Every wire message is a `u32` big-endian length followed by the codec
-//! bytes. The write paths thread a reusable scratch [`BytesMut`] so the
-//! hot loops (the coalescing ring writer, client-reply flushing, the
-//! blocking client) never allocate a fresh buffer per message, and
-//! [`write_ring_frames`] turns a whole frame batch into **one** buffer
-//! fill, one `write_all`, one flush.
+//! bytes. The encoders append into caller-owned buffers, so the hot
+//! paths (ring batches, client replies, session requests) never allocate
+//! a fresh buffer per message, and a whole ring batch becomes **one**
+//! wire message. [`NbMessageReader`] is the one inbound decoder.
 
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 
 use bytes::BytesMut;
 use hts_poll::{read_nb, ReadStatus};
@@ -26,62 +25,13 @@ pub fn frame_into(buf: &mut BytesMut, msg: &Message) {
     codec::encode_into(msg, buf);
 }
 
-/// Writes one message through a caller-owned scratch buffer (cleared
-/// first), avoiding the per-call allocation of [`write_message`].
-///
-/// # Errors
-///
-/// Propagates socket errors; the caller treats any error as a dead peer.
-pub fn write_message_with<W: Write>(
-    writer: &mut W,
-    msg: &Message,
-    scratch: &mut BytesMut,
-) -> io::Result<()> {
-    scratch.clear();
-    frame_into(scratch, msg);
-    writer.write_all(scratch)?;
-    writer.flush()
-}
-
-/// Writes one message: `u32` big-endian length, then the codec bytes.
-/// Allocates a fresh buffer per call — prefer [`write_message_with`] on
-/// hot paths.
-///
-/// # Errors
-///
-/// Propagates socket errors; the caller treats any error as a dead peer.
-pub fn write_message<W: Write>(writer: &mut W, msg: &Message) -> io::Result<()> {
-    let mut scratch = BytesMut::with_capacity(4 + codec::wire_size(msg));
-    write_message_with(writer, msg, &mut scratch)
-}
-
-/// Writes a coalesced batch of ring frames as **one** wire message with
-/// one flush: a lone frame travels as [`Message::Ring`], several as
-/// [`Message::RingBatch`] (frames keep their order — the batch is the
-/// FIFO link's contents). An empty batch writes nothing.
-///
-/// # Errors
-///
-/// Propagates socket errors; the caller treats any error as a dead peer
-/// and owns re-sending `frames` elsewhere.
-pub fn write_ring_frames<W: Write>(
-    writer: &mut W,
-    frames: &[RingFrame],
-    scratch: &mut BytesMut,
-) -> io::Result<()> {
-    if frames.is_empty() {
-        return Ok(());
-    }
-    encode_ring_frames(frames, scratch);
-    writer.write_all(scratch)?;
-    writer.flush()
-}
-
-/// The encode half of [`write_ring_frames`]: clears `scratch` and fills
-/// it with the complete wire bytes (length prefix included) of the
-/// batch. The reactor backend uses this to stage a batch into its
-/// per-connection write buffer and let epoll writability drive the
-/// actual sends. An empty batch encodes to nothing.
+/// Clears `scratch` and fills it with the complete wire bytes (length
+/// prefix included) of a coalesced batch of ring frames: a lone frame
+/// travels as [`Message::Ring`], several as [`Message::RingBatch`]
+/// (frames keep their order — the batch is the FIFO link's contents).
+/// The reactor stages the result into a connection's write buffer and
+/// lets epoll writability drive the actual sends. An empty batch
+/// encodes to nothing.
 pub(crate) fn encode_ring_frames(frames: &[RingFrame], scratch: &mut BytesMut) {
     scratch.clear();
     if frames.is_empty() {
@@ -101,100 +51,6 @@ pub(crate) fn encode_ring_frames(frames: &[RingFrame], scratch: &mut BytesMut) {
     }
 }
 
-/// Reads one message framed by [`write_message`].
-///
-/// One-shot form of [`MessageReader`]; loops should hold a
-/// `MessageReader` so value-free messages recycle their read buffer.
-///
-/// # Errors
-///
-/// `UnexpectedEof` on clean peer shutdown, `InvalidData` on oversized or
-/// undecodable frames, otherwise the underlying socket error.
-pub fn read_message<R: Read>(reader: &mut R) -> io::Result<Message> {
-    MessageReader::new().read(reader)
-}
-
-/// The pre-zero-copy inbound path, kept verbatim as the
-/// `Config::zero_copy = false` ablation baseline: a fresh allocation
-/// per message and a copying decode (one more allocation + copy per
-/// contained value). Benchmarked against [`MessageReader`] by fig1.
-///
-/// # Errors
-///
-/// `UnexpectedEof` on clean peer shutdown, `InvalidData` on oversized or
-/// undecodable frames, otherwise the underlying socket error.
-pub fn read_message_copied<R: Read>(reader: &mut R) -> io::Result<Message> {
-    let mut len_bytes = [0u8; 4];
-    reader.read_exact(&mut len_bytes)?;
-    let len = u32::from_be_bytes(len_bytes) as usize;
-    if len > MAX_FRAME_BYTES {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame of {len} bytes exceeds the {MAX_FRAME_BYTES}-byte cap"),
-        ));
-    }
-    let mut body = vec![0u8; len];
-    reader.read_exact(&mut body)?;
-    codec::decode(&body).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
-}
-
-/// The zero-copy inbound path: reads each length-prefixed message into a
-/// single [`Bytes`] allocation and decodes it with
-/// [`codec::decode_shared`], so every contained [`Value`] is a
-/// refcounted **view** of the receive buffer — no per-value copy.
-///
-/// The reader keeps one spare buffer: when a decoded message carries no
-/// value views (acks, read requests, tag-only ring notices — the
-/// majority of wire traffic), the buffer's refcount drops back to one
-/// and it is reclaimed for the next read, mirroring the write side's
-/// scratch framing. Value-bearing messages keep their buffer alive for
-/// exactly as long as the values do.
-///
-/// [`Value`]: hts_types::Value
-#[derive(Default)]
-pub struct MessageReader {
-    spare: BytesMut,
-}
-
-impl MessageReader {
-    /// An empty reader (no buffer until the first read needs one).
-    pub fn new() -> MessageReader {
-        MessageReader::default()
-    }
-
-    /// Reads one message framed by [`write_message`].
-    ///
-    /// # Errors
-    ///
-    /// `UnexpectedEof` on clean peer shutdown, `InvalidData` on
-    /// oversized or undecodable frames, otherwise the underlying socket
-    /// error.
-    pub fn read<R: Read>(&mut self, reader: &mut R) -> io::Result<Message> {
-        let mut len_bytes = [0u8; 4];
-        reader.read_exact(&mut len_bytes)?;
-        let len = u32::from_be_bytes(len_bytes) as usize;
-        if len > MAX_FRAME_BYTES {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("frame of {len} bytes exceeds the {MAX_FRAME_BYTES}-byte cap"),
-            ));
-        }
-        let mut body = std::mem::take(&mut self.spare);
-        body.clear();
-        body.resize(len, 0);
-        reader.read_exact(&mut body)?;
-        let bytes = body.freeze();
-        let msg =
-            codec::decode_shared(&bytes).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e));
-        // No value view took a reference (or the decode failed): take
-        // the allocation back for the next message.
-        if let Ok(reclaimed) = bytes.try_into_mut() {
-            self.spare = reclaimed;
-        }
-        msg
-    }
-}
-
 /// Result of one [`NbMessageReader::poll`].
 #[derive(Debug)]
 pub enum MessagePoll {
@@ -206,34 +62,33 @@ pub enum MessagePoll {
     Closed,
 }
 
-/// Nonblocking twin of [`MessageReader`] for the reactor backend: the
-/// same zero-copy decode and spare-buffer recycling, but assembled
-/// across any number of partial reads instead of `read_exact`. Call
-/// [`poll`] in a loop on each readability report until it returns
-/// `Pending`.
+/// The inbound decoder: assembles each length-prefixed message across
+/// any number of partial reads into a single [`Bytes`](bytes::Bytes)
+/// allocation and decodes it with [`codec::decode_shared`], so every
+/// contained [`Value`] is a refcounted **view** of the receive buffer —
+/// no per-value copy between the socket and the store. Call [`poll`] in
+/// a loop on each readability report until it returns `Pending`.
 ///
-/// With `zero_copy` false it decodes through the copying
-/// [`codec::decode`] instead, as the ablation baseline.
+/// The reader keeps its buffer when a decoded message carries no value
+/// views (acks, read requests, tag-only ring notices — the majority of
+/// wire traffic): the refcount drops back to one and the allocation is
+/// reclaimed for the next frame. Value-bearing messages keep their
+/// buffer alive for exactly as long as the values do.
 ///
 /// [`poll`]: NbMessageReader::poll
+/// [`Value`]: hts_types::Value
+#[derive(Default)]
 pub struct NbMessageReader {
     header: [u8; 4],
     filled: usize,
     body: BytesMut,
     in_body: bool,
-    zero_copy: bool,
 }
 
 impl NbMessageReader {
-    /// An empty reader; `zero_copy` picks the decode path.
-    pub fn new(zero_copy: bool) -> NbMessageReader {
-        NbMessageReader {
-            header: [0; 4],
-            filled: 0,
-            body: BytesMut::new(),
-            in_body: false,
-            zero_copy,
-        }
+    /// An empty reader (no buffer until the first frame needs one).
+    pub fn new() -> NbMessageReader {
+        NbMessageReader::default()
     }
 
     /// Pulls bytes until a message completes, the socket would block,
@@ -288,21 +143,15 @@ impl NbMessageReader {
             }
             self.in_body = false;
             self.filled = 0;
-            let msg = if self.zero_copy {
-                let bytes = std::mem::take(&mut self.body).freeze();
-                let msg = codec::decode_shared(&bytes)
-                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e));
-                // Value-free message (or failed decode): reclaim the
-                // allocation for the next frame, like MessageReader.
-                if let Ok(reclaimed) = bytes.try_into_mut() {
-                    self.body = reclaimed;
-                }
-                msg?
-            } else {
-                codec::decode(&self.body)
-                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?
-            };
-            return Ok(MessagePoll::Msg(msg));
+            let bytes = std::mem::take(&mut self.body).freeze();
+            let msg = codec::decode_shared(&bytes)
+                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e));
+            // Value-free message (or failed decode): reclaim the
+            // allocation for the next frame.
+            if let Ok(reclaimed) = bytes.try_into_mut() {
+                self.body = reclaimed;
+            }
+            return Ok(MessagePoll::Msg(msg?));
         }
     }
 }
@@ -312,6 +161,22 @@ mod tests {
     use super::*;
     use hts_types::{ObjectId, RequestId, ServerId, Tag, Value};
 
+    fn framed(msgs: &[Message]) -> Vec<u8> {
+        let mut buf = BytesMut::new();
+        for msg in msgs {
+            frame_into(&mut buf, msg);
+        }
+        buf.to_vec()
+    }
+
+    /// Decodes the next message of `cursor`, which must hold a whole one.
+    fn read_one(reader: &mut NbMessageReader, cursor: &mut &[u8]) -> io::Result<Message> {
+        match reader.poll(cursor)? {
+            MessagePoll::Msg(msg) => Ok(msg),
+            other => Err(io::Error::other(format!("no message: {other:?}"))),
+        }
+    }
+
     #[test]
     fn roundtrip_over_a_buffer() {
         let msg = Message::WriteReq {
@@ -319,10 +184,11 @@ mod tests {
             request: RequestId(2),
             value: Value::filled(7, 10_000),
         };
-        let mut buf = Vec::new();
-        write_message(&mut buf, &msg).unwrap();
+        let buf = framed(std::slice::from_ref(&msg));
         let mut cursor = &buf[..];
-        assert_eq!(read_message(&mut cursor).unwrap(), msg);
+        let mut reader = NbMessageReader::new();
+        assert_eq!(read_one(&mut reader, &mut cursor).unwrap(), msg);
+        assert!(matches!(reader.poll(&mut cursor), Ok(MessagePoll::Closed)));
     }
 
     #[test]
@@ -331,30 +197,29 @@ mod tests {
             object: ObjectId(4),
             request: RequestId(9),
         };
+        let fresh = framed(std::slice::from_ref(&msg));
+        // A reused scratch, cleared between messages as the reactor's
+        // reply path does, must frame byte-identically.
         let mut scratch = BytesMut::new();
-        let mut a = Vec::new();
-        let mut b = Vec::new();
-        write_message(&mut a, &msg).unwrap();
-        write_message_with(&mut b, &msg, &mut scratch).unwrap();
-        // Re-use immediately: the scratch must be self-cleaning.
-        let mut c = Vec::new();
-        write_message_with(&mut c, &msg, &mut scratch).unwrap();
-        assert_eq!(a, b);
-        assert_eq!(b, c);
+        for _ in 0..2 {
+            scratch.clear();
+            frame_into(&mut scratch, &msg);
+            assert_eq!(&scratch[..], &fresh[..]);
+        }
     }
 
     #[test]
     fn ring_batch_framing_roundtrips_both_arities() {
         let tag = Tag::new(3, ServerId(1));
         let mut scratch = BytesMut::new();
+        let mut reader = NbMessageReader::new();
 
         // One frame: travels as a plain Ring message.
         let single = [RingFrame::write(ObjectId(1), tag)];
-        let mut buf = Vec::new();
-        write_ring_frames(&mut buf, &single, &mut scratch).unwrap();
-        let mut cursor = &buf[..];
+        encode_ring_frames(&single, &mut scratch);
+        let mut cursor = &scratch[..];
         assert_eq!(
-            read_message(&mut cursor).unwrap(),
+            read_one(&mut reader, &mut cursor).unwrap(),
             Message::Ring(single[0].clone())
         );
 
@@ -364,15 +229,16 @@ mod tests {
             RingFrame::write(ObjectId(2), tag),
             RingFrame::write(ObjectId(3), tag),
         ];
-        let mut buf = Vec::new();
-        write_ring_frames(&mut buf, &many, &mut scratch).unwrap();
-        let mut cursor = &buf[..];
-        assert_eq!(read_message(&mut cursor).unwrap(), Message::RingBatch(many));
+        encode_ring_frames(&many, &mut scratch);
+        let mut cursor = &scratch[..];
+        assert_eq!(
+            read_one(&mut reader, &mut cursor).unwrap(),
+            Message::RingBatch(many)
+        );
 
         // Empty batch: nothing on the wire.
-        let mut buf = Vec::new();
-        write_ring_frames(&mut buf, &[], &mut scratch).unwrap();
-        assert!(buf.is_empty());
+        encode_ring_frames(&[], &mut scratch);
+        assert!(scratch.is_empty());
     }
 
     #[test]
@@ -386,28 +252,25 @@ mod tests {
             object: ObjectId(1),
             request: RequestId(2),
         };
-        let mut buf = Vec::new();
-        write_message(&mut buf, &with_value).unwrap();
-        write_message(&mut buf, &value_free).unwrap();
-        write_message(&mut buf, &value_free).unwrap();
+        let buf = framed(&[with_value, value_free.clone(), value_free.clone()]);
 
-        let mut reader = MessageReader::new();
+        let mut reader = NbMessageReader::new();
         let mut cursor = &buf[..];
-        let decoded = reader.read(&mut cursor).unwrap();
+        let decoded = read_one(&mut reader, &mut cursor).unwrap();
         match &decoded {
             Message::WriteReq { value, .. } => assert_eq!(value.len(), 4096),
             other => panic!("wrong message: {other}"),
         }
         // The value pinned its buffer: the reader had to give it up.
-        assert_eq!(reader.spare.len(), 0);
+        assert_eq!(reader.body.len(), 0);
 
-        assert_eq!(reader.read(&mut cursor).unwrap(), value_free);
+        assert_eq!(read_one(&mut reader, &mut cursor).unwrap(), value_free);
         // A value-free message returns its buffer to the reader...
-        let recycled = reader.spare.as_ptr();
-        assert!(!reader.spare.is_empty() || reader.spare.capacity() > 0);
-        assert_eq!(reader.read(&mut cursor).unwrap(), value_free);
+        let recycled = reader.body.as_ptr();
+        assert!(reader.body.capacity() > 0);
+        assert_eq!(read_one(&mut reader, &mut cursor).unwrap(), value_free);
         // ...and the next read reuses that same allocation.
-        assert_eq!(reader.spare.as_ptr(), recycled);
+        assert_eq!(reader.body.as_ptr(), recycled);
     }
 
     #[test]
@@ -416,7 +279,7 @@ mod tests {
         buf.extend_from_slice(&(u32::MAX).to_be_bytes());
         buf.extend_from_slice(&[0; 16]);
         let mut cursor = &buf[..];
-        let err = read_message(&mut cursor).unwrap_err();
+        let err = NbMessageReader::new().poll(&mut cursor).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     }
 
@@ -426,11 +289,10 @@ mod tests {
             object: ObjectId(0),
             request: RequestId(1),
         };
-        let mut buf = Vec::new();
-        write_message(&mut buf, &msg).unwrap();
+        let mut buf = framed(&[msg]);
         buf.truncate(buf.len() - 1);
         let mut cursor = &buf[..];
-        let err = read_message(&mut cursor).unwrap_err();
+        let err = NbMessageReader::new().poll(&mut cursor).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
     }
 }

@@ -1,21 +1,17 @@
-//! The readiness-driven (epoll reactor) backend: one poller thread per
-//! ring lane owns every socket.
+//! The server runtime: one epoll reactor thread per ring lane owns
+//! every socket.
 //!
-//! Where the threaded backend spends a thread per connection (reader
-//! per inbound stream, writer per client and ring peer), this backend
-//! runs each lane as a single epoll-driven loop that accepts the same
-//! events — client requests, inbound ring frames, outbound write
-//! readiness, connect completions — as readiness reports on one
-//! `epoll` instance (`hts-poll`). A node therefore runs on exactly
-//! `lanes + 1` threads (the `+ 1` is the shared acceptor) regardless
-//! of how many clients or peers connect.
+//! Each lane is a single readiness-driven loop: client requests,
+//! inbound ring frames, outbound write readiness and connect
+//! completions all arrive as readiness reports on one `epoll` instance
+//! (`hts-poll`). A node therefore runs on exactly `lanes + 1` threads
+//! (the `+ 1` is the shared acceptor) regardless of how many clients or
+//! peers connect.
 //!
-//! Wire behaviour is byte-identical to the threaded backend: the same
-//! handshakes, the same `RingBatch` coalescing and linger rules, the
-//! same TxDone-equivalent pipeline pacing (credit on full drain of a
-//! staged batch), and the same one-fresh-connection-retry crash
-//! verdict. The equivalence tests in `tests/` run the whole suite
-//! under both backends.
+//! The ring link coalesces frames into `RingBatch` messages (with an
+//! optional linger), paces the core by pipeline credit (returned when a
+//! staged batch fully drains into the socket), and turns a failed link
+//! into a crash verdict only after one retry over a fresh connection.
 //!
 //! Thread roles:
 //!
@@ -35,7 +31,7 @@
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io;
-use std::net::{TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -56,7 +52,7 @@ use hts_wal::{Recovery, Wal};
 use crate::framing::{encode_ring_frames, frame_into, MessagePoll, NbMessageReader};
 use crate::server::{
     action_into_message, build_core, drain_batch, note_crash_verdict, persist_commits,
-    recover_lanes, LaneConfig, Server, ServerConfig, ThreadTally,
+    recover_lanes, LaneConfig, ServerConfig, ThreadTally,
 };
 
 /// Token 0 is every poller's eventfd waker.
@@ -66,13 +62,12 @@ const LISTENER_TOKEN: u64 = 1;
 /// How long a nonblocking connect may stay in progress before the
 /// attempt counts as failed.
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
-/// Pause between successor connect attempts (mirrors the threaded
-/// writer's condvar backoff).
+/// Pause between successor connect attempts.
 const CONNECT_BACKOFF: Duration = Duration::from_millis(50);
-/// Connect attempts for a normal successor link (threaded parity).
+/// Connect attempts for a normal successor link.
 const CONNECT_ATTEMPTS: u32 = 40;
 /// Connect attempts for the one-fresh-connection retry after a write
-/// failure (threaded parity).
+/// failure.
 const RETRY_ATTEMPTS: u32 = 3;
 
 /// Handle to a running reactor: the shared shutdown flag plus one waker
@@ -84,33 +79,27 @@ pub(crate) struct ReactorHandle {
 }
 
 impl ReactorHandle {
-    /// Signals every thread and (with `join`) waits them out. Safe to
-    /// call more than once: joined handles drain on the first call.
-    pub(crate) fn stop(&mut self, join: bool) {
+    /// Signals every thread and waits them out. Safe to call more than
+    /// once: joined handles drain on the first call.
+    pub(crate) fn stop(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
         for waker in &self.wakers {
             waker.wake();
         }
-        if join {
-            for handle in self.handles.drain(..) {
-                let _ = handle.join();
-            }
+        for handle in self.handles.drain(..) {
+            let _ = handle.join();
         }
     }
 }
 
-/// Spawns the reactor backend for `config`: binds the listen address,
-/// recovers every lane's WAL, and starts `lanes` poller threads plus
-/// the acceptor. All pollers, wakers and channels are created before
-/// any thread spawns, so setup errors abort cleanly.
-pub(crate) fn spawn(config: ServerConfig) -> io::Result<Server> {
+/// Spawns the reactor for `config`: binds the listen address, recovers
+/// every lane's WAL, and starts `lanes` poller threads plus the
+/// acceptor; returns the handle and the bound address. All pollers,
+/// wakers and channels are created before any thread spawns, so setup
+/// errors abort cleanly — off Linux the first poller already fails
+/// with `Unsupported`, before any log is touched.
+pub(crate) fn spawn(config: ServerConfig) -> io::Result<(ReactorHandle, SocketAddr)> {
     let lanes = usize::from(config.config.lanes.max(1));
-    let wal_states = recover_lanes(&config)?;
-    let listen = config.addrs[config.id.index()];
-    let listener = TcpListener::bind(listen)?;
-    let addr = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
-
     let shutdown = Arc::new(AtomicBool::new(false));
     let cells: Vec<Arc<ReadCellRegistry>> = (0..lanes)
         .map(|_| Arc::new(ReadCellRegistry::new()))
@@ -129,6 +118,11 @@ pub(crate) fn spawn(config: ServerConfig) -> io::Result<Server> {
         .collect();
     let acc_poller = Poller::new()?;
     let acc_waker = Arc::new(Waker::new(&acc_poller, Token(WAKER_TOKEN))?);
+    let wal_states = recover_lanes(&config)?;
+    let listen = config.addrs[config.id.index()];
+    let listener = TcpListener::bind(listen)?;
+    let addr = listener.local_addr()?;
+    listener.set_nonblocking(true)?;
     acc_poller.register(
         listener.as_raw_fd(),
         Token(LISTENER_TOKEN),
@@ -178,7 +172,7 @@ pub(crate) fn spawn(config: ServerConfig) -> io::Result<Server> {
         handles.push(thread::spawn(move || acceptor.run()));
     }
 
-    Ok(Server::from_reactor(
+    Ok((
         ReactorHandle {
             shutdown,
             wakers,
@@ -269,8 +263,7 @@ struct OutConn {
     writing: bool,
     /// When the currently staged batch was encoded (`now_nanos`; 0 =
     /// none staged). Feeds `hts_net_ring_write_nanos`: the wall time a
-    /// batch takes to fully drain into the socket, the reactor's
-    /// equivalent of the threaded writer's per-batch send time.
+    /// batch takes to fully drain into the socket.
     staged_at: u64,
 }
 
@@ -331,7 +324,7 @@ impl Lane {
         let linger = Duration::from_nanos(batching.linger.as_nanos());
         // Frames the lane may hand its staged/pending buffers ahead of
         // drain acknowledgement: one batch on the wire, one queued
-        // behind it (threaded parity).
+        // behind it.
         let pipeline_cap = batching.max_frames.max(1) * 2;
         let cell = Arc::clone(&plumbing.cells[usize::from(lc.lane)]);
         let (core, wal) = build_core(lc.id, n, lc.config.clone(), wal_state, cell);
@@ -423,19 +416,19 @@ impl Lane {
     }
 
     fn teardown(&mut self) {
+        // A lingering partial batch ships now: the linger only waits
+        // for company, and none is coming. Best effort — whatever the
+        // socket takes without blocking.
+        self.linger = Duration::ZERO;
+        for (_, mut conn) in std::mem::take(&mut self.ring_outs) {
+            let _ = self.resume_write(&mut conn);
+            self.drop_out_sockets(&conn);
+        }
         for (_, conn) in self.client_conns.drain() {
             self.poller.deregister(conn.stream.as_raw_fd());
         }
         for (_, conn) in self.ring_ins.drain() {
             self.poller.deregister(conn.stream.as_raw_fd());
-        }
-        for (_, conn) in self.ring_outs.drain() {
-            match &conn.state {
-                OutState::Connecting { stream, .. } | OutState::Ready(stream) => {
-                    self.poller.deregister(stream.as_raw_fd());
-                }
-                OutState::Waiting { .. } => {}
-            }
         }
         self.slots.clear();
     }
@@ -469,9 +462,10 @@ impl Lane {
     fn on_client_msg(&mut self, conn: &mut ClientConn, msg: Message) {
         let c = conn.id;
         match msg {
-            // The lock-free read fast path, same predicate and counters
-            // as the threaded reader thread: answer from the published
-            // snapshot cell without touching the protocol core.
+            // The lock-free read fast path: answer from the object's
+            // published snapshot cell without touching the protocol
+            // core (the cell is blocked exactly when the core would
+            // make the read wait).
             Message::ReadReq { object, request } if self.lc.config.read_fast_path => {
                 let lane = usize::from(self.map.lane_of(object));
                 if let Some((_, value)) = self.cells[lane].try_read(object) {
@@ -681,8 +675,8 @@ impl Lane {
             return true;
         }
         // The successor never sends data back on this link: anything
-        // readable is EOF or an error — eager failure detection the
-        // threaded writer only got on its next write.
+        // readable is EOF or an error — eager failure detection, ahead
+        // of the next write.
         if ev.readable() && !self.drain_out_readable(conn) {
             return false;
         }
@@ -724,9 +718,9 @@ impl Lane {
 
     /// Stages the next coalesced batch into `conn.out` (one encoded
     /// batch at a time, hello bytes may precede the first). Honors the
-    /// linger window exactly like the threaded writer: a partial batch
-    /// waits up to `linger` for company, but one that fills ships at
-    /// once. Returns `false` when nothing was staged.
+    /// linger window: a partial batch waits up to `linger` for company,
+    /// but one that fills ships at once. Returns `false` when nothing
+    /// was staged.
     fn encode_next(&mut self, conn: &mut OutConn) -> bool {
         if !matches!(conn.state, OutState::Ready(_))
             || !conn.unacked.is_empty()
@@ -903,11 +897,11 @@ impl Lane {
         }
     }
 
-    /// The strike logic, mirroring the threaded backend's
-    /// `RingWriteFailed` handling: first failure retries every lost
-    /// frame over one fresh connection; a second failure on that fresh
-    /// connection is a crash verdict (the lost frames are covered by
-    /// the splice-retransmission in `on_server_crashed`).
+    /// The strike logic: a first failure retries every lost frame over
+    /// one fresh connection (a parked link may just predate the peer's
+    /// restart); a second failure on that fresh connection is a crash
+    /// verdict (the lost frames are covered by the
+    /// splice-retransmission in `on_server_crashed`).
     fn fail_out(&mut self, mut conn: OutConn) {
         loop {
             self.drop_out_sockets(&conn);
@@ -982,7 +976,7 @@ impl Lane {
     }
 
     /// Drains the core's batch scheduler into the active link and kicks
-    /// a flush — the reactor twin of the threaded event loop's `pump`.
+    /// a flush.
     fn pump(&mut self) {
         self.ensure_ring_out();
         let Some(active) = self.active_out else {
@@ -991,20 +985,31 @@ impl Lane {
         let Some(mut conn) = self.ring_outs.remove(&active) else {
             return;
         };
-        while (self.in_channel as usize) < self.pipeline_cap {
-            let room = self.pipeline_cap - self.in_channel as usize;
-            let frames = self
-                .core
-                .drain_frames(room.min(self.batching.max_frames), self.batching.max_bytes);
-            if frames.is_empty() {
+        loop {
+            while (self.in_channel as usize) < self.pipeline_cap {
+                let room = self.pipeline_cap - self.in_channel as usize;
+                let frames = self
+                    .core
+                    .drain_frames(room.min(self.batching.max_frames), self.batching.max_bytes);
+                if frames.is_empty() {
+                    break;
+                }
+                self.in_channel += frames.len() as u32;
+                conn.pending.extend(frames);
+            }
+            let capped = self.in_channel as usize >= self.pipeline_cap;
+            if self.resume_write(&mut conn).is_err() {
+                self.fail_out(conn);
+                return;
+            }
+            // The drain stopped at the cap, so the core may hold more,
+            // and the flush just returned credit without waiting for
+            // the socket: no fd event will come to pump again. Loop, or
+            // a recovery stream longer than the pipeline stalls on an
+            // idle ring.
+            if !capped || self.in_channel as usize >= self.pipeline_cap {
                 break;
             }
-            self.in_channel += frames.len() as u32;
-            conn.pending.extend(frames);
-        }
-        if self.resume_write(&mut conn).is_err() {
-            self.fail_out(conn);
-            return;
         }
         self.update_out_interest(&mut conn);
         self.ring_outs.insert(active, conn);
@@ -1105,7 +1110,7 @@ impl Lane {
                 token,
                 stream,
                 id: c,
-                reader: NbMessageReader::new(self.lc.config.zero_copy),
+                reader: NbMessageReader::new(),
                 out: WriteBuf::new(),
                 writing: false,
             },
@@ -1130,7 +1135,7 @@ impl Lane {
             RingInConn {
                 stream,
                 from: s,
-                reader: NbMessageReader::new(self.lc.config.zero_copy),
+                reader: NbMessageReader::new(),
             },
         );
     }
@@ -1315,7 +1320,7 @@ impl Acceptor {
 
     fn route(&mut self, hello: Hello, stream: TcpStream) {
         match hello {
-            // Legacy server handshake = lane 0, like the threaded path.
+            // Legacy server handshake = lane 0.
             Hello::Server(s) => self.send(0, Inject::NewRing(s, stream)),
             Hello::ServerLane(s, lane) => {
                 if usize::from(lane) < self.peers.len() {

@@ -1,47 +1,28 @@
-//! The TCP server runtime: backend dispatch plus the threaded backend.
+//! The TCP server: [`Server`], its deployment description, and the
+//! per-lane plumbing the reactor ([`crate::reactor`]) builds on — WAL
+//! recovery, core construction, ring batch draining and group commit.
 //!
 //! A server hosts [`Config::lanes`](hts_core::Config) **parallel ring
 //! lanes**: objects are partitioned across lanes by the shared
-//! [`LaneMap`] placement, and each lane runs its own event loop thread,
-//! its own outbound coalescing writer to the successor (a separate TCP
-//! connection, tagged by a lane-aware handshake), its own inbound ring
-//! stream and — with persistent durability — its own WAL directory. One
-//! node therefore scales across cores instead of funneling every object
-//! through a single event loop; `lanes = 1` (the default) is the
-//! original single-ring runtime, byte for byte.
-//!
-//! Two wire-identical backends implement that shape:
-//!
-//! * the **reactor** backend ([`crate::reactor`], default on Linux):
-//!   one epoll-driven thread per lane owns every socket — lanes + 1
-//!   threads per node, no per-connection threads;
-//! * the **threaded** backend (this file, `Config::reactor = false` or
-//!   non-Linux): thread-per-connection with blocking I/O — the fig1
-//!   ablation baseline and the portable fallback.
+//! [`LaneMap`](hts_core::LaneMap) placement, and each lane runs on its
+//! own epoll thread with its own successor connection (tagged by a
+//! lane-aware handshake), its own inbound ring stream and — with
+//! persistent durability — its own WAL directory. One node therefore
+//! scales across cores instead of funneling every object through a
+//! single event loop; `lanes = 1` (the default) is the original
+//! single-ring runtime, byte for byte.
 
-use std::collections::{HashMap, HashSet, VecDeque};
-use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::collections::VecDeque;
+use std::io;
+use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::{self, JoinHandle};
-use std::time::{Duration, Instant};
 
-use bytes::BytesMut;
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use hts_core::{
-    Action, BatchConfig, Config, Durability, LaneMap, MultiObjectServer, ReadCellRegistry,
-};
-use hts_types::sync::{blocking_syscall, DebugCondvar, DebugMutex, DebugMutexGuard};
-use hts_types::{codec, codec::Hello, ClientId, Message, ObjectId, RingFrame, ServerId, Value};
+use hts_core::{Action, Config, Durability, MultiObjectServer, ReadCellRegistry};
+use hts_types::{codec, ClientId, Message, RingFrame, ServerId};
 use hts_wal::{recover, FsyncPolicy, Recovery, Wal, WalOptions, WalRecord};
 
-use crate::framing::{frame_into, read_message_copied, write_ring_frames, MessageReader};
-
-/// Coalesced client replies flush once this many buffered bytes
-/// accumulate (bounds the scratch buffer under a burst of 64 KiB reads).
-const REPLY_FLUSH_BYTES: usize = 256 * 1024;
+use crate::reactor::ReactorHandle;
 
 /// Static deployment description handed to every [`Server`].
 #[derive(Debug, Clone)]
@@ -67,76 +48,12 @@ pub struct ServerConfig {
     pub wal_dir: Option<PathBuf>,
 }
 
-pub(crate) enum Event {
-    /// A message arrived from a client connection.
-    FromClient(ClientId, Message),
-    /// A ring frame arrived from the predecessor side (batches are
-    /// unpacked by the connection thread, in order).
-    FromRing(RingFrame),
-    /// A client connected; replies go into its sender.
-    ClientUp(ClientId, Sender<Message>),
-    /// A client connection died.
-    ClientDown(ClientId),
-    /// This lane's inbound ring connection (from server `s`) died: `s`
-    /// crashed.
-    RingInDown(ServerId),
-    /// The outbound writer for `s` failed (connecting, or mid-write) and
-    /// exited; carries every frame it swallowed, oldest first. Not yet a
-    /// crash verdict: a parked connection may simply predate the peer's
-    /// restart (a non-adjacent server never observes the crash of a peer
-    /// it was not connected to, so its parked entry can go stale
-    /// silently). The event loop retries over a fresh connection and
-    /// only declares the peer crashed if that also fails.
-    RingWriteFailed(ServerId, Vec<RingFrame>),
-    /// The writer for `s` put a batch of `n` frames on the wire: open
-    /// that much pipeline room and clear any retry strike against `s` —
-    /// the link is proven healthy. Writers also send `n = 0` right
-    /// after a successful connect + handshake (strike clearing only).
-    TxDone(ServerId, u32),
-    /// Stop the event loop.
-    Shutdown,
-}
-
-/// Routes freshly accepted connections to the right lane's event loop:
-/// inbound ring streams by their handshake's lane tag, client requests
-/// by their object's lane.
-struct LaneRouter {
-    senders: Vec<Sender<Event>>,
-    map: LaneMap,
-    /// Per-lane published-snapshot cells: lets a client reader thread
-    /// answer an unblocked read right where it was received, skipping
-    /// the event-loop hop (see [`try_fast_read`]).
-    cells: Vec<Arc<ReadCellRegistry>>,
-    /// `Config::read_fast_path`: consult the snapshot cells at all.
-    /// Off, every read takes the event-loop hop — the ablation
-    /// baseline and the paper's always-wait behaviour.
-    read_fast_path: bool,
-    /// `Config::zero_copy`: decode inbound messages as views of one
-    /// shared receive buffer (default), or through the copying baseline.
-    zero_copy: bool,
-}
-
-/// Which runtime actually serves this node's sockets.
-pub(crate) enum Backend {
-    /// Thread-per-connection with blocking I/O (the original runtime).
-    Threaded {
-        lanes: Vec<Sender<Event>>,
-        handles: Vec<JoinHandle<()>>,
-        accept_alive: Arc<AtomicBool>,
-    },
-    /// One epoll reactor thread per lane (see [`crate::reactor`]).
-    Reactor(crate::reactor::ReactorHandle),
-}
-
 /// A running storage server.
 ///
 /// See the [crate docs](crate) for the runtime's shape; create whole local
-/// clusters with [`Cluster`](crate::Cluster). Which backend serves the
-/// sockets is picked at [`spawn`](Server::spawn) from
-/// [`Config::reactor`](hts_core::Config) — both speak the identical wire
-/// protocol.
+/// clusters with [`Cluster`](crate::Cluster).
 pub struct Server {
-    backend: Backend,
+    reactor: ReactorHandle,
     addr: SocketAddr,
 }
 
@@ -152,8 +69,7 @@ pub(crate) fn lane_wal_dir(base: &Path, lane: u16, lanes: u16) -> PathBuf {
 
 /// Recovers (or creates) every lane's WAL ahead of serving: `None`
 /// entries mean that lane keeps no log (volatile durability or no
-/// `wal_dir`). Shared by both backends so a cluster can restart a node
-/// under either and recover the same directories.
+/// `wal_dir`).
 pub(crate) fn recover_lanes(config: &ServerConfig) -> io::Result<Vec<Option<(Wal, Recovery)>>> {
     let lanes = config.config.lanes.max(1);
     let fsync = wal_fsync_policy(config.config.durability);
@@ -237,9 +153,9 @@ pub(crate) fn action_into_message(action: Action) -> (ClientId, Message) {
 }
 
 /// RAII increment of the `hts_net_threads` gauge: every server-side
-/// thread of either backend holds one for its lifetime, so the gauge
-/// reads the node's live thread count at any instant — the fig1
-/// reactor-ablation's threads-per-node column samples it.
+/// thread (each lane's reactor and the acceptor) holds one for its
+/// lifetime, so the gauge reads the live server thread count at any
+/// instant — `lanes + 1` per node, whatever the connection count.
 pub(crate) struct ThreadTally;
 
 impl ThreadTally {
@@ -255,98 +171,22 @@ impl Drop for ThreadTally {
     }
 }
 
-/// Whether readiness-driven I/O (`hts-poll`) may be used at all on this
-/// host: the platform supports it and `HTS_REACTOR=0` is not set. Gates
-/// both the server reactor and the session's shared poller thread.
-pub(crate) fn readiness_enabled() -> bool {
-    hts_poll::supported() && std::env::var_os("HTS_REACTOR").is_none_or(|v| v != "0")
-}
-
 impl Server {
-    /// Binds `config.addrs[config.id]` and spawns the server. With a WAL
+    /// Binds `config.addrs[config.id]` and spawns the server: one epoll
+    /// reactor thread per ring lane plus a shared acceptor. With a WAL
     /// directory and persistent durability, first recovers each lane's
     /// existing log — a non-empty directory makes this a **restart**:
     /// every lane rejoins its ring and resyncs before serving.
     ///
-    /// [`Config::reactor`](hts_core::Config) picks the backend: the
-    /// epoll reactor (lanes + 1 threads, Linux only) or the
-    /// thread-per-connection baseline. Setting `HTS_REACTOR=0` in the
-    /// environment forces the threaded backend regardless (the CI
-    /// backend-matrix leg).
-    ///
     /// # Errors
     ///
-    /// Returns the bind error if the listen address is unavailable, or
-    /// the I/O error if log recovery / creation fails.
+    /// Returns the bind error if the listen address is unavailable, the
+    /// I/O error if log recovery / creation fails, and
+    /// [`io::ErrorKind::Unsupported`] off Linux (the runtime is built on
+    /// epoll).
     pub fn spawn(config: ServerConfig) -> io::Result<Server> {
-        if config.config.reactor && readiness_enabled() {
-            return crate::reactor::spawn(config);
-        }
-        Server::spawn_threaded(config)
-    }
-
-    /// Wraps a reactor backend (see [`crate::reactor::spawn`]).
-    pub(crate) fn from_reactor(handle: crate::reactor::ReactorHandle, addr: SocketAddr) -> Server {
-        Server {
-            backend: Backend::Reactor(handle),
-            addr,
-        }
-    }
-
-    /// The threaded backend: one event loop per configured ring lane
-    /// plus a blocking acceptor and a thread per connection.
-    fn spawn_threaded(config: ServerConfig) -> io::Result<Server> {
-        let lanes = config.config.lanes.max(1);
-        let wal_states = recover_lanes(&config)?;
-        let addr = config.addrs[config.id.index()];
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        let accept_alive = Arc::new(AtomicBool::new(true));
-
-        // One event loop per lane, each with its own channel, WAL and
-        // read-fast-path cell registry (the loop is the cells' single
-        // writer; client reader threads only consult them).
-        let cells: Vec<Arc<ReadCellRegistry>> = (0..lanes)
-            .map(|_| Arc::new(ReadCellRegistry::new()))
-            .collect();
-        let mut senders = Vec::with_capacity(usize::from(lanes));
-        let mut handles = Vec::with_capacity(usize::from(lanes));
-        for (lane, wal_state) in wal_states.into_iter().enumerate() {
-            let (events_tx, events_rx) = unbounded::<Event>();
-            senders.push(events_tx.clone());
-            let lane_config = LaneConfig {
-                lane: lane as u16,
-                id: config.id,
-                addrs: config.addrs.clone(),
-                config: config.config.clone(),
-            };
-            let lane_cells = Arc::clone(&cells[lane]);
-            handles.push(thread::spawn(move || {
-                event_loop(lane_config, events_rx, events_tx, wal_state, lane_cells)
-            }));
-        }
-
-        // Accept loop, demultiplexing onto the lanes.
-        {
-            let router = Arc::new(LaneRouter {
-                senders: senders.clone(),
-                map: LaneMap::new(lanes),
-                cells,
-                zero_copy: config.config.zero_copy,
-                read_fast_path: config.config.read_fast_path,
-            });
-            let alive = Arc::clone(&accept_alive);
-            thread::spawn(move || accept_loop(listener, router, alive));
-        }
-
-        Ok(Server {
-            backend: Backend::Threaded {
-                lanes: senders,
-                handles,
-                accept_alive,
-            },
-            addr,
-        })
+        let (reactor, addr) = crate::reactor::spawn(config)?;
+        Ok(Server { reactor, addr })
     }
 
     /// The bound listen address (useful with port 0).
@@ -354,376 +194,26 @@ impl Server {
         self.addr
     }
 
-    /// Stops the server (crashing it, from the cluster's point of view),
-    /// joining its threads. The reactor backend additionally closes and
-    /// deregisters every socket before its lane threads exit, so the
-    /// listen port is immediately rebindable.
-    pub fn shutdown(mut self) {
-        self.stop(true);
-    }
-
-    /// Signals (and with `join`, waits out) every backend thread. The
-    /// threaded acceptor blocks in `accept`, so after dropping the alive
-    /// flag we poke the listen port with a throwaway connection to wake
-    /// it; the reactor's acceptor is woken through its eventfd instead.
-    fn stop(&mut self, join: bool) {
-        let addr = self.addr;
-        match &mut self.backend {
-            Backend::Threaded {
-                lanes,
-                handles,
-                accept_alive,
-            } => {
-                accept_alive.store(false, Ordering::SeqCst);
-                for lane in lanes.iter() {
-                    let _ = lane.send(Event::Shutdown);
-                }
-                let _ = TcpStream::connect(addr);
-                if join {
-                    for h in handles.drain(..) {
-                        let _ = h.join();
-                    }
-                }
-            }
-            Backend::Reactor(handle) => handle.stop(join),
-        }
+    /// Stops the server (crashing it, from the cluster's point of view):
+    /// every lane closes and deregisters its sockets and its thread is
+    /// joined, so the listen port is immediately rebindable. Dropping
+    /// the server does the same.
+    pub fn shutdown(self) {
+        drop(self);
     }
 }
 
 impl Drop for Server {
     fn drop(&mut self) {
-        // Threaded lanes exit on their own; not joined in drop
-        // (C-DTOR-BLOCK). Reactor lanes *are* joined: each closes all
-        // its sockets on the way out, making drop-then-rebind
-        // deterministic, and wakes via eventfd so the join is prompt.
-        let join = matches!(self.backend, Backend::Reactor(_));
-        self.stop(join);
+        // Joined even in drop: each lane wakes through its eventfd and
+        // closes every socket on the way out, which makes
+        // drop-then-rebind deterministic.
+        self.reactor.stop();
     }
-}
-
-fn accept_loop(listener: TcpListener, router: Arc<LaneRouter>, alive: Arc<AtomicBool>) {
-    let _tally = ThreadTally::new();
-    loop {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                if !alive.load(Ordering::SeqCst) {
-                    // The wake-up poke from `Server::stop` (or any
-                    // connection racing shutdown).
-                    return;
-                }
-                let router = Arc::clone(&router);
-                thread::spawn(move || {
-                    let _tally = ThreadTally::new();
-                    let _ = handle_connection(stream, router);
-                });
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::Interrupted
-                ) =>
-            {
-                if !alive.load(Ordering::SeqCst) {
-                    return;
-                }
-            }
-            Err(_) => return,
-        }
-    }
-}
-
-/// Reads the handshake, then pumps messages into the owning lane's event
-/// loop: an inbound ring stream belongs to the lane its handshake names
-/// (legacy `Hello::Server` = lane 0), client requests route per object.
-fn handle_connection(mut stream: TcpStream, router: Arc<LaneRouter>) -> io::Result<()> {
-    stream.set_nodelay(true).ok();
-    let mut hello = [0u8; 5];
-    stream.read_exact(&mut hello[..1])?;
-    let peer = match hello[0] {
-        0x01 => {
-            stream.read_exact(&mut hello[1..3])?;
-            Hello::decode(&hello[..3])
-        }
-        0x02 | 0x03 => {
-            stream.read_exact(&mut hello[1..5])?;
-            Hello::decode(&hello[..5])
-        }
-        other => {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("unknown hello role {other:#x}"),
-            ))
-        }
-    }
-    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-
-    match peer {
-        Hello::Server(s) => ring_in_loop(stream, s, &router.senders[0], router.zero_copy),
-        Hello::ServerLane(s, lane) => {
-            let Some(sender) = router.senders.get(usize::from(lane)) else {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("ring lane {lane} outside this server's lane count"),
-                ));
-            };
-            ring_in_loop(stream, s, sender, router.zero_copy)
-        }
-        Hello::Client(c) => {
-            let (reply_tx, reply_rx) = unbounded::<Message>();
-            for sender in &router.senders {
-                if sender.send(Event::ClientUp(c, reply_tx.clone())).is_err() {
-                    return Ok(());
-                }
-            }
-            // The reader below keeps one sender for fast-path read
-            // replies; the lanes own the rest. The writer exits once
-            // they all drop (reader exit + ClientDown processing).
-            let fast_reply = reply_tx.clone();
-            drop(reply_tx);
-            // Writer half: coalesce every reply already queued into one
-            // buffer fill and one flush (a burst of acks costs one
-            // syscall, not one per message).
-            let mut writer = stream.try_clone()?;
-            thread::spawn(move || {
-                let _tally = ThreadTally::new();
-                let mut scratch = BytesMut::new();
-                loop {
-                    let Ok(first) = reply_rx.recv() else { return };
-                    scratch.clear();
-                    frame_into(&mut scratch, &first);
-                    while scratch.len() < REPLY_FLUSH_BYTES {
-                        match reply_rx.try_recv() {
-                            Ok(msg) => frame_into(&mut scratch, &msg),
-                            Err(_) => break,
-                        }
-                    }
-                    blocking_syscall("client reply send");
-                    if writer
-                        .write_all(&scratch)
-                        .and_then(|()| writer.flush())
-                        .is_err()
-                    {
-                        return;
-                    }
-                }
-            });
-            // Reader half: route each request to its object's lane —
-            // except reads the published snapshot can answer right here
-            // (see `try_fast_read`), which never enter the event loop.
-            let mut reader = stream;
-            let mut scratch = MessageReader::new();
-            loop {
-                let next = if router.zero_copy {
-                    scratch.read(&mut reader)
-                } else {
-                    read_message_copied(&mut reader)
-                };
-                match next {
-                    Ok(Message::ReadReq { object, request })
-                        if router.read_fast_path
-                            && try_fast_read(&router, &fast_reply, object, request) => {}
-                    Ok(msg) => {
-                        let lane = usize::from(router.map.lane_of(msg.object()));
-                        if router.senders[lane]
-                            .send(Event::FromClient(c, msg))
-                            .is_err()
-                        {
-                            return Ok(());
-                        }
-                    }
-                    Err(_) => {
-                        for sender in &router.senders {
-                            let _ = sender.send(Event::ClientDown(c));
-                        }
-                        return Ok(());
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// The lock-free read fast path: answers a client read **on the reader
-/// thread** from the object's published snapshot cell when it is
-/// unblocked — the common case of a read-mostly register — skipping the
-/// event-loop hop entirely. Only consulted when `Config::read_fast_path`
-/// is on; off, every read routes to the event loop (the paper's
-/// always-wait behaviour and the fig1 ablation baseline). Returns
-/// `false` (caller routes to the event loop, which is always correct)
-/// when the cell is blocked by a pending pre-write or resync,
-/// contended, or not yet published.
-///
-/// Semantics match the event-loop path exactly: the cell's blocked bit
-/// is maintained by [`ServerCore`](hts_core::ServerCore) under the same
-/// predicate `on_client_read` uses, and a core republishes *before* its
-/// acks flush, so any value a client could have already observed is in
-/// the cell by the time the client's next read arrives.
-fn try_fast_read(
-    router: &LaneRouter,
-    reply: &Sender<Message>,
-    object: ObjectId,
-    request: hts_types::RequestId,
-) -> bool {
-    let lane = usize::from(router.map.lane_of(object));
-    let Some((_, value)) = router.cells[lane].try_read(object) else {
-        hts_metrics::counter!("hts_net_read_fastpath_fallbacks_total").inc();
-        return false;
-    };
-    hts_metrics::counter!("hts_net_read_fastpath_hits_total").inc();
-    reply
-        .send(Message::ReadAck {
-            object,
-            request,
-            value,
-        })
-        .is_ok()
-}
-
-/// Pumps one inbound ring connection (one lane's FIFO stream from server
-/// `s`) into its lane's event loop until it dies, unpacking frame
-/// batches in order. With `zero_copy` (the default), every batch lands
-/// in one shared receive buffer and its values are refcounted views of
-/// it — a 64 KiB pre-write costs zero value copies between the socket
-/// and the store.
-fn ring_in_loop(
-    mut reader: TcpStream,
-    s: ServerId,
-    events: &Sender<Event>,
-    zero_copy: bool,
-) -> io::Result<()> {
-    let mut scratch = MessageReader::new();
-    loop {
-        let next = if zero_copy {
-            scratch.read(&mut reader)
-        } else {
-            read_message_copied(&mut reader)
-        };
-        match next {
-            Ok(Message::Ring(frame)) => {
-                if events.send(Event::FromRing(frame)).is_err() {
-                    return Ok(());
-                }
-            }
-            Ok(Message::RingBatch(frames)) => {
-                for frame in frames {
-                    if events.send(Event::FromRing(frame)).is_err() {
-                        return Ok(());
-                    }
-                }
-            }
-            // Requests, replies and stats never arrive on a ring stream;
-            // drop them by name so a new wire variant forces a decision
-            // here.
-            Ok(Message::WriteReq { .. })
-            | Ok(Message::ReadReq { .. })
-            | Ok(Message::WriteAck { .. })
-            | Ok(Message::ReadAck { .. })
-            | Ok(Message::StatsRequest { .. })
-            | Ok(Message::StatsReply { .. }) => {}
-            Err(_) => {
-                let _ = events.send(Event::RingInDown(s));
-                return Ok(());
-            }
-        }
-    }
-}
-
-/// The outbound ring writer's shared state: the frame queue plus a
-/// shutdown flag under one mutex, and the condvar the writer blocks on.
-/// Pushes and shutdown both signal it, so a linger never outlives the
-/// work it was waiting for (see [`ring_writer`]).
-struct RingShared {
-    queue: DebugMutex<RingQueue>,
-    ready: DebugCondvar,
-}
-
-struct RingQueue {
-    frames: VecDeque<RingFrame>,
-    shutdown: bool,
-}
-
-impl RingShared {
-    fn lock(&self) -> DebugMutexGuard<'_, RingQueue> {
-        self.queue.lock()
-    }
-}
-
-/// The outbound ring connection: a shared frame queue drained by a
-/// dedicated writer thread that coalesces everything available into one
-/// wire message per write (see [`ring_writer`]). The event loop paces how
-/// many frames it pushes via `TxDone` events, exactly like the
-/// simulator's TX-idle callback — just with a pipeline deeper than one.
-/// Keyed by peer in the event loop; connections to peers that stop being
-/// the successor are parked, not closed (see the event loop). Dropping
-/// the handle flags shutdown: the writer flushes what is queued and
-/// exits without waiting out any linger.
-struct RingOut {
-    shared: Arc<RingShared>,
-}
-
-impl RingOut {
-    /// Queues frames for the writer and wakes it.
-    fn push(&self, frames: Vec<RingFrame>) {
-        self.shared.lock().frames.extend(frames);
-        self.shared.ready.notify_all();
-    }
-
-    /// Frames queued but not yet claimed by the writer.
-    fn queued(&self) -> usize {
-        self.shared.lock().frames.len()
-    }
-
-    /// Takes every unclaimed frame (failure recovery: the writer is gone
-    /// and the event loop owns re-routing them).
-    fn take_queued(&self) -> Vec<RingFrame> {
-        self.shared.lock().frames.drain(..).collect()
-    }
-}
-
-impl Drop for RingOut {
-    fn drop(&mut self) {
-        self.shared.lock().shutdown = true;
-        self.shared.ready.notify_all();
-    }
-}
-
-/// Spawns the writer thread for lane `lane`'s link to `to` and returns
-/// immediately: connecting (with its retry sleeps) happens **on the
-/// writer thread**, never on the event loop, so a slow-to-boot or dead
-/// peer cannot stall client traffic. Frames pushed while the connection
-/// is still being established simply wait in the queue. On any failure
-/// the thread exits after reporting [`Event::RingWriteFailed`] with the
-/// frames it swallowed; frames still in the shared queue stay
-/// recoverable there.
-fn connect_ring_out(
-    me: ServerId,
-    to: ServerId,
-    lane: u16,
-    addr: SocketAddr,
-    events: Sender<Event>,
-    attempts: u32,
-    batching: BatchConfig,
-) -> RingOut {
-    let shared = Arc::new(RingShared {
-        queue: DebugMutex::new(
-            "net.ring_writer.queue",
-            RingQueue {
-                frames: VecDeque::new(),
-                shutdown: false,
-            },
-        ),
-        ready: DebugCondvar::new(),
-    });
-    {
-        let shared = Arc::clone(&shared);
-        thread::spawn(move || ring_writer(me, to, lane, addr, events, attempts, batching, shared));
-    }
-    RingOut { shared }
 }
 
 /// Extends `batch` from the queue, tracking the running encoded size in
-/// `bytes` (callers carry it across the linger top-up so the soft
-/// `max_bytes` budget is per **batch**, not per drain call). The soft
+/// `bytes` (the soft `max_bytes` budget is per **batch**). The soft
 /// cap admits the frame that crosses it; the hard cap is the receiver's
 /// [`MAX_FRAME_BYTES`](crate::framing::MAX_FRAME_BYTES) —
 /// individually-shippable frames must never coalesce into a wire
@@ -750,160 +240,6 @@ pub(crate) fn drain_batch(
         *bytes += frame_bytes;
         batch.push(frame);
     }
-}
-
-/// The writer's blocking drain/linger/shutdown handshake, socket-free so
-/// the `hts-mc` model below can exhaustively explore it: blocks on the
-/// queue condvar until there is work, drains a batch, optionally lingers
-/// for a near-simultaneous burst to coalesce (the condvar — never a hard
-/// sleep — so a push that fills the batch or a shutdown wakes it
-/// immediately), and returns the batch with its encoded size. `None`
-/// means shutdown with an empty queue: the writer exits. Queued frames
-/// still flush on the way out — shutdown with work pending returns the
-/// batch, promptly (the linger loop exits on the shutdown flag).
-fn next_batch(
-    shared: &RingShared,
-    max_frames: usize,
-    max_bytes: usize,
-    linger: Duration,
-) -> Option<(Vec<RingFrame>, usize)> {
-    let mut batch = Vec::new();
-    let mut bytes = 0usize;
-    let mut q = shared.lock();
-    loop {
-        if !q.frames.is_empty() {
-            break;
-        }
-        if q.shutdown {
-            return None;
-        }
-        q = shared.ready.wait(q);
-    }
-    drain_batch(&mut q.frames, max_frames, max_bytes, &mut bytes, &mut batch);
-    if batch.len() < max_frames && bytes < max_bytes && !linger.is_zero() {
-        // Give a near-simultaneous burst one chance to coalesce. The
-        // byte budget carries over: the top-up cannot grow the batch
-        // past what one drain could.
-        let deadline = Instant::now() + linger;
-        while !q.shutdown {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                break;
-            }
-            let (guard, _) = shared.ready.wait_timeout(q, remaining);
-            q = guard;
-            drain_batch(&mut q.frames, max_frames, max_bytes, &mut bytes, &mut batch);
-            if batch.len() >= max_frames || bytes >= max_bytes {
-                break;
-            }
-        }
-    }
-    Some((batch, bytes))
-}
-
-/// The coalescing ring writer: connect (with retries), then repeatedly
-/// drain everything queued ([`next_batch`]) into **one** buffered write
-/// and one flush per batch. FIFO is trivially preserved — frames leave
-/// the queue and hit the wire in push order. A full batch always flushes
-/// at once and shutdown is prompt even with a long linger configured.
-#[allow(clippy::too_many_arguments)]
-fn ring_writer(
-    me: ServerId,
-    to: ServerId,
-    lane: u16,
-    addr: SocketAddr,
-    events: Sender<Event>,
-    attempts: u32,
-    batching: BatchConfig,
-    shared: Arc<RingShared>,
-) {
-    let _tally = ThreadTally::new();
-    let fail = |swallowed: Vec<RingFrame>| {
-        let _ = events.send(Event::RingWriteFailed(to, swallowed));
-    };
-    let mut stream = match connect_with_retry(addr, attempts, &shared) {
-        Ok(s) => s,
-        Err(_) => return fail(Vec::new()),
-    };
-    stream.set_nodelay(true).ok();
-    // Lane 0 keeps the legacy handshake (a single-lane cluster speaks
-    // the pre-lane wire protocol bit for bit); other lanes tag theirs.
-    let hello = if lane == 0 {
-        Hello::Server(me)
-    } else {
-        Hello::ServerLane(me, lane)
-    };
-    blocking_syscall("ring handshake send");
-    if stream.write_all(&hello.encode()).is_err() {
-        return fail(Vec::new());
-    }
-    // The link is proven healthy the moment the connect + handshake
-    // lands: a zero-frame TxDone clears any retry strike against this
-    // peer even if no traffic flows for a while (otherwise a strike
-    // earned during a traffic-free episode would silently turn the NEXT
-    // failure — possibly just a stale parked connection — into an
-    // instant crash verdict, skipping the designed retry).
-    if events.send(Event::TxDone(to, 0)).is_err() {
-        return;
-    }
-    let max_frames = batching.max_frames.max(1);
-    let linger = Duration::from_nanos(batching.linger.as_nanos());
-    let mut scratch = BytesMut::new();
-    loop {
-        // `next_batch` returns with the queue lock released: never touch
-        // the socket with it held.
-        let Some((batch, bytes)) = next_batch(&shared, max_frames, batching.max_bytes, linger)
-        else {
-            return;
-        };
-        hts_metrics::histogram!("hts_net_ring_batch_frames").record(batch.len() as u64);
-        hts_metrics::histogram!("hts_net_ring_batch_bytes").record(bytes as u64);
-        blocking_syscall("ring successor send");
-        let t0 = hts_metrics::now_nanos();
-        if write_ring_frames(&mut stream, &batch, &mut scratch).is_err() {
-            return fail(batch);
-        }
-        hts_metrics::histogram!("hts_net_ring_write_nanos").record(hts_metrics::now_nanos() - t0);
-        if events.send(Event::TxDone(to, batch.len() as u32)).is_err() {
-            return;
-        }
-    }
-}
-
-fn connect_with_retry(
-    addr: SocketAddr,
-    attempts: u32,
-    shared: &RingShared,
-) -> io::Result<TcpStream> {
-    let mut last = None;
-    for attempt in 0..attempts {
-        blocking_syscall("ring successor connect");
-        match TcpStream::connect(addr) {
-            Ok(s) => return Ok(s),
-            Err(e) => {
-                last = Some(e);
-                // No point waiting after the last attempt. The backoff
-                // runs on the writer thread (the event loop keeps serving
-                // client traffic throughout a reconnect storm) and waits
-                // on the queue condvar, NOT a hard sleep: dropping the
-                // RingOut flags shutdown and signals it, so a writer
-                // stuck retrying a dead peer aborts immediately instead
-                // of sleeping out the rest of its backoff.
-                if attempt + 1 < attempts {
-                    let (q, _) = shared
-                        .ready
-                        .wait_timeout(shared.lock(), Duration::from_millis(50));
-                    if q.shutdown {
-                        return Err(io::Error::new(
-                            io::ErrorKind::Interrupted,
-                            "ring writer shut down during connect retry",
-                        ));
-                    }
-                }
-            }
-        }
-    }
-    Err(last.unwrap_or_else(|| io::Error::other("no attempts made")))
 }
 
 /// Records a crash verdict against `peer` (counter + flight event), and
@@ -940,8 +276,7 @@ pub(crate) fn wal_fsync_policy(durability: Durability) -> Option<FsyncPolicy> {
 /// this loop iteration. Runs BEFORE actions flush, so under `SyncAlways`
 /// a client never sees an ack whose write is not on stable storage.
 /// Returns `false` on an unrecoverable log failure (the server then
-/// stops = crash-stop). Shared by both backends — the durability
-/// ordering is a wire-visible guarantee, not a backend detail.
+/// stops = crash-stop).
 pub(crate) fn persist_commits(
     core: &mut MultiObjectServer,
     wal: &mut Option<Wal>,
@@ -981,7 +316,7 @@ pub(crate) fn persist_commits(
     true
 }
 
-/// Everything one lane's event loop needs to know about its place in the
+/// Everything one lane's reactor needs to know about its place in the
 /// deployment.
 pub(crate) struct LaneConfig {
     pub(crate) lane: u16,
@@ -990,227 +325,28 @@ pub(crate) struct LaneConfig {
     pub(crate) config: Config,
 }
 
-fn event_loop(
-    lc: LaneConfig,
-    events: Receiver<Event>,
-    events_tx: Sender<Event>,
-    wal_state: Option<(Wal, Recovery)>,
-    cells: Arc<ReadCellRegistry>,
-) {
-    let _tally = ThreadTally::new();
-    let n = lc.addrs.len() as u16;
-    let batching = lc.config.batching.normalized();
-    // Frames the event loop may hand the active writer ahead of TxDone
-    // acknowledgements: one batch on the wire, one batch queued behind
-    // it. `max_frames = 1` degenerates to (pipelined) frame-at-a-time.
-    let pipeline_cap = batching.max_frames.max(1) * 2;
-    let (mut core, mut wal) = build_core(lc.id, n, lc.config.clone(), wal_state, cells);
-    let mut clients: HashMap<ClientId, Sender<Message>> = HashMap::new();
-    // Outbound ring connections by peer. The active one is the current
-    // successor; older ones stay **parked**, not dropped — closing a
-    // connection to a live peer would masquerade as our crash on its
-    // side, and a later splice-back (rejoin) reuses the parked link.
-    let mut ring_outs: HashMap<ServerId, RingOut> = HashMap::new();
-    let mut active_out: Option<ServerId> = None;
-    // Frames handed to the active writer and not yet TxDone-acknowledged.
-    let mut in_channel = 0u32;
-    // Peers whose writer failed once and is on its second-chance fresh
-    // connection; a second failure is a crash verdict, a TxDone clears
-    // the strike.
-    let mut retried: HashSet<ServerId> = HashSet::new();
-
-    let ensure_ring_out = |core: &MultiObjectServer,
-                           ring_outs: &mut HashMap<ServerId, RingOut>,
-                           active_out: &mut Option<ServerId>,
-                           in_channel: &mut u32| {
-        let successor = core.successor();
-        if *active_out == successor {
-            return;
-        }
-        *active_out = None;
-        *in_channel = 0;
-        let Some(next) = successor else { return };
-        match ring_outs.entry(next) {
-            std::collections::hash_map::Entry::Vacant(slot) => {
-                // Non-blocking: the writer thread does the connecting.
-                slot.insert(connect_ring_out(
-                    lc.id,
-                    next,
-                    lc.lane,
-                    lc.addrs[next.index()],
-                    events_tx.clone(),
-                    40,
-                    batching,
-                ));
-            }
-            std::collections::hash_map::Entry::Occupied(slot) => {
-                // Reactivating a parked link: frames from its previous
-                // activation may still be queued; count them or the
-                // pipeline pacing would over-fill.
-                *in_channel = slot.get().queued() as u32;
-            }
-        }
-        *active_out = Some(next);
-    };
-
-    let flush = |clients: &HashMap<ClientId, Sender<Message>>, actions: Vec<Action>| {
-        for action in actions {
-            let (client, msg) = action_into_message(action);
-            if let Some(tx) = clients.get(&client) {
-                let _ = tx.send(msg);
-            }
-        }
-    };
-
-    let pump = |core: &mut MultiObjectServer,
-                ring_outs: &mut HashMap<ServerId, RingOut>,
-                active_out: &mut Option<ServerId>,
-                in_channel: &mut u32| {
-        ensure_ring_out(core, ring_outs, active_out, in_channel);
-        let Some(active) = *active_out else { return };
-        let Some(out) = ring_outs.get(&active) else {
-            return;
-        };
-        // Keep the writer's pipeline primed: drain the batch scheduler
-        // until the core has nothing ready or the pipeline is full.
-        while (*in_channel as usize) < pipeline_cap {
-            let room = pipeline_cap - *in_channel as usize;
-            let frames = core.drain_frames(room.min(batching.max_frames), batching.max_bytes);
-            if frames.is_empty() {
-                break;
-            }
-            *in_channel += frames.len() as u32;
-            out.push(frames);
-        }
-    };
-
-    // Prime the ring before the first inbound event: a freshly booted
-    // server eagerly connects to its successor, and a *restarted* one
-    // must push its rejoin announcement without waiting to be spoken to.
-    pump(&mut core, &mut ring_outs, &mut active_out, &mut in_channel);
-
-    for event in &events {
-        let actions = match event {
-            Event::Shutdown => return,
-            Event::ClientUp(c, tx) => {
-                clients.insert(c, tx);
-                Vec::new()
-            }
-            Event::ClientDown(c) => {
-                clients.remove(&c);
-                Vec::new()
-            }
-            Event::FromClient(c, msg) => match msg {
-                Message::WriteReq {
-                    object,
-                    request,
-                    value,
-                } => core.on_client_write(object, c, request, value),
-                Message::ReadReq { object, request } => core.on_client_read(object, c, request),
-                Message::StatsRequest { request } => {
-                    // Answered from the process-wide registry without
-                    // touching the protocol core: stats are observational
-                    // and never consume an op slot.
-                    if let Some(tx) = clients.get(&c) {
-                        let _ = tx.send(Message::StatsReply {
-                            request,
-                            text: Value::from(hts_metrics::render().into_bytes()),
-                        });
-                    }
-                    Vec::new()
-                }
-                // Clients never send replies or ring traffic; drop them
-                // by name so a new wire variant forces a decision here.
-                Message::WriteAck { .. }
-                | Message::ReadAck { .. }
-                | Message::StatsReply { .. }
-                | Message::Ring(_)
-                | Message::RingBatch(_) => Vec::new(),
-            },
-            Event::FromRing(frame) => core.on_frame(frame),
-            Event::RingInDown(s) => {
-                // Any connection to the crashed server died with it; a
-                // parked entry must not be reused after a rejoin.
-                ring_outs.remove(&s);
-                retried.remove(&s);
-                note_crash_verdict(lc.id, lc.lane, s);
-                core.on_server_crashed(s)
-            }
-            Event::RingWriteFailed(s, mut lost) => {
-                // The writer is gone: recover the frames it never
-                // claimed from the shared queue (they are strictly newer
-                // than the batch it reported).
-                if let Some(out) = ring_outs.remove(&s) {
-                    lost.extend(out.take_queued());
-                }
-                if active_out == Some(s) {
-                    in_channel = 0;
-                }
-                if retried.insert(s) {
-                    // First strike: the connection may just be stale (the
-                    // peer restarted while it sat parked). Retry the lost
-                    // frames over a fresh connection — the connect runs
-                    // on the new writer's thread, so even an unreachable
-                    // peer costs the event loop nothing.
-                    let out = connect_ring_out(
-                        lc.id,
-                        s,
-                        lc.lane,
-                        lc.addrs[s.index()],
-                        events_tx.clone(),
-                        3,
-                        batching,
-                    );
-                    if active_out == Some(s) {
-                        in_channel = lost.len() as u32;
-                    }
-                    if !lost.is_empty() {
-                        out.push(lost);
-                    }
-                    ring_outs.insert(s, out);
-                    Vec::new()
-                } else {
-                    // Second strike on a fresh connection: the peer is
-                    // really gone. The lost frames are covered by the
-                    // splice-retransmission in `on_server_crashed`.
-                    retried.remove(&s);
-                    note_crash_verdict(lc.id, lc.lane, s);
-                    core.on_server_crashed(s)
-                }
-            }
-            Event::TxDone(s, done) => {
-                retried.remove(&s);
-                if active_out == Some(s) {
-                    in_channel = in_channel.saturating_sub(done);
-                }
-                Vec::new()
-            }
-        };
-        if !persist_commits(&mut core, &mut wal, lc.id, lc.lane) {
-            return;
-        }
-        flush(&clients, actions);
-        pump(&mut core, &mut ring_outs, &mut active_out, &mut in_channel);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::framing::read_message;
-    use hts_sim::Nanos;
-    use hts_types::{ObjectId, Tag, Value};
+    use std::io::{Read, Write};
+    use std::net::{TcpListener, TcpStream};
+    use std::thread;
+    use std::time::{Duration, Instant};
 
-    fn test_frame(ts: u64) -> RingFrame {
-        RingFrame::pre_write(ObjectId(1), Tag::new(ts, ServerId(0)), Value::from_u64(ts))
-    }
+    use bytes::BytesMut;
+    use crossbeam::channel::{unbounded, Receiver};
+    use hts_core::BatchConfig;
+    use hts_sim::Nanos;
+    use hts_types::codec::Hello;
+    use hts_types::{ObjectId, RequestId, Value};
+
+    use crate::framing::{frame_into, MessagePoll, NbMessageReader};
 
     /// Accepts one ring connection on `listener` and forwards every
     /// decoded wire message (with its arrival instant) into a channel.
     fn accept_ring(listener: TcpListener) -> Receiver<(Instant, Message)> {
         let (tx, rx) = unbounded();
         thread::spawn(move || {
-            listener.set_nonblocking(false).ok();
             let Ok((mut stream, _)) = listener.accept() else {
                 return;
             };
@@ -1222,7 +358,10 @@ mod tests {
             if stream.read_exact(&mut hello[1..1 + rest]).is_err() {
                 return;
             }
-            while let Ok(msg) = read_message(&mut stream) {
+            // A blocking socket: `poll` returns only once a whole
+            // message (or the end of the stream) has arrived.
+            let mut reader = NbMessageReader::new();
+            while let Ok(MessagePoll::Msg(msg)) = reader.poll(&mut stream) {
                 if tx.send((Instant::now(), msg)).is_err() {
                     return;
                 }
@@ -1239,31 +378,62 @@ mod tests {
         }
     }
 
+    /// Spawns server 0 of a two-server ring whose successor, server 1, is
+    /// `successor`: a bare listener that records the ring traffic.
+    fn server_before(successor: SocketAddr, batching: BatchConfig) -> Server {
+        Server::spawn(ServerConfig {
+            id: ServerId(0),
+            addrs: vec!["127.0.0.1:0".parse().expect("addr"), successor],
+            config: Config {
+                batching,
+                ..Config::default()
+            },
+            wal_dir: None,
+        })
+        .expect("spawn")
+    }
+
+    /// A raw client connection to `server`, handshake sent.
+    fn connect_client(server: &Server) -> TcpStream {
+        let mut stream = TcpStream::connect(server.addr()).expect("connect");
+        stream
+            .write_all(&Hello::Client(ClientId(1)).encode())
+            .expect("hello");
+        stream
+    }
+
+    /// Sends a write of register `object`: server 0 coordinates it, so
+    /// its pre-write frame heads for the successor.
+    fn send_write(stream: &mut TcpStream, object: u32) {
+        let mut buf = BytesMut::new();
+        frame_into(
+            &mut buf,
+            &Message::WriteReq {
+                object: ObjectId(object),
+                request: RequestId(u64::from(object)),
+                value: Value::from_u64(u64::from(object)),
+            },
+        );
+        stream.write_all(&buf).expect("send write");
+    }
+
     #[test]
     fn filled_batch_flushes_immediately_mid_linger() {
-        // Regression test for the hard-sleep linger: with a 5 s linger a
-        // batch that FILLS mid-linger must still hit the wire at once —
-        // the writer waits on the queue condvar, not the clock.
+        // With a 5 s linger, a batch that FILLS mid-linger must still hit
+        // the wire at once: the linger only waits for company, and the
+        // second write is that company.
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
+        let successor = listener.local_addr().expect("addr");
         let msgs = accept_ring(listener);
-        let (events_tx, _events_rx) = unbounded::<Event>();
-        let out = connect_ring_out(
-            ServerId(0),
-            ServerId(1),
-            0,
-            addr,
-            events_tx,
-            5,
-            lingering(Duration::from_secs(5), 2),
-        );
-        out.push(vec![test_frame(1)]);
+        let server = server_before(successor, lingering(Duration::from_secs(5), 2));
+        let mut client = connect_client(&server);
+        send_write(&mut client, 1);
         thread::sleep(Duration::from_millis(50));
         let pushed = Instant::now();
-        out.push(vec![test_frame(2)]);
+        send_write(&mut client, 2);
         let (arrived, msg) = msgs
             .recv_timeout(Duration::from_secs(2))
-            .expect("filled batch stuck behind the linger sleep");
+            .expect("filled batch stuck behind the linger");
         assert!(
             arrived.duration_since(pushed) < Duration::from_secs(1),
             "batch waited out the linger instead of flushing on fill"
@@ -1272,34 +442,31 @@ mod tests {
             Message::RingBatch(frames) => assert_eq!(frames.len(), 2),
             other => panic!("expected the filled 2-frame batch, got {other}"),
         }
+        server.shutdown();
     }
 
     #[test]
     fn shutdown_mid_linger_flushes_and_exits_promptly() {
-        // Dropping the handle mid-linger must flush the partial batch
-        // right away instead of sleeping out the remaining linger.
+        // Stopping the server mid-linger must ship the partial batch
+        // right away and return without sitting out the linger.
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
+        let successor = listener.local_addr().expect("addr");
         let msgs = accept_ring(listener);
-        let (events_tx, _events_rx) = unbounded::<Event>();
-        let out = connect_ring_out(
-            ServerId(0),
-            ServerId(1),
-            0,
-            addr,
-            events_tx,
-            5,
-            lingering(Duration::from_secs(5), 64),
-        );
-        out.push(vec![test_frame(1)]);
+        let server = server_before(successor, lingering(Duration::from_secs(5), 64));
+        let mut client = connect_client(&server);
+        send_write(&mut client, 1);
         thread::sleep(Duration::from_millis(50));
-        let dropped = Instant::now();
-        drop(out);
+        let stopped = Instant::now();
+        server.shutdown();
+        assert!(
+            stopped.elapsed() < Duration::from_secs(1),
+            "shutdown sat out the linger"
+        );
         let (arrived, msg) = msgs
             .recv_timeout(Duration::from_secs(2))
-            .expect("shutdown waited out the linger");
+            .expect("shutdown dropped the lingering batch");
         assert!(
-            arrived.duration_since(dropped) < Duration::from_secs(1),
+            arrived.duration_since(stopped) < Duration::from_secs(1),
             "shutdown flush delayed by the linger"
         );
         assert!(matches!(msg, Message::Ring(_)));
@@ -1311,114 +478,5 @@ mod tests {
         assert_eq!(lane_wal_dir(base, 0, 1), PathBuf::from("/tmp/wal"));
         assert_eq!(lane_wal_dir(base, 0, 4), PathBuf::from("/tmp/wal/lane-0"));
         assert_eq!(lane_wal_dir(base, 3, 4), PathBuf::from("/tmp/wal/lane-3"));
-    }
-}
-
-/// `hts-mc` model of the [`RingShared`] drain/linger/shutdown handshake
-/// (the manifest entry for this file in `mc-models.toml` points here).
-/// Runs via `cargo test -p hts-net --features model-check` — the CI
-/// `modelcheck` job. The model drives [`next_batch`] exactly as
-/// [`ring_writer`] does, minus the socket.
-#[cfg(all(test, feature = "model-check"))]
-mod ring_model {
-    use super::*;
-    use hts_mc::{check, Mode, Options};
-    use hts_types::{ObjectId, Tag, Value};
-
-    fn frame(ts: u64) -> RingFrame {
-        RingFrame::pre_write(ObjectId(1), Tag::new(ts, ServerId(0)), Value::from_u64(ts))
-    }
-
-    fn model_out() -> RingOut {
-        RingOut {
-            shared: Arc::new(RingShared {
-                queue: DebugMutex::new(
-                    "model.ring_writer.queue",
-                    RingQueue {
-                        frames: VecDeque::new(),
-                        shutdown: false,
-                    },
-                ),
-                ready: DebugCondvar::new(),
-            }),
-        }
-    }
-
-    /// One pusher (the main thread) + the writer loop: every pushed
-    /// frame must be delivered exactly once, in push order, and the
-    /// writer must terminate once the handle drops. `linger` and
-    /// `max_frames` parameterize which of `next_batch`'s paths the
-    /// schedule space reaches.
-    fn push_drain_shutdown_model(linger: Duration, max_frames: usize) {
-        let out = model_out();
-        let shared = Arc::clone(&out.shared);
-        let writer = hts_mc::spawn(move || {
-            let mut got = Vec::new();
-            while let Some((batch, _bytes)) = next_batch(&shared, max_frames, 1 << 20, linger) {
-                got.extend(batch);
-            }
-            got
-        });
-        out.push(vec![frame(1)]);
-        out.push(vec![frame(2), frame(3)]);
-        drop(out); // flags shutdown; queued frames still flush
-        let got = writer.join();
-        let expected: Vec<RingFrame> = (1..=3).map(frame).collect();
-        assert_eq!(got, expected, "frames lost, duplicated, or reordered");
-    }
-
-    #[test]
-    fn drain_shutdown_handshake_exhaustive() {
-        // linger zero: the handshake is pure block/drain/shutdown, small
-        // enough for exhaustive DFS.
-        let report = check(Mode::Exhaustive, Options::named("net-ring-drain"), || {
-            push_drain_shutdown_model(Duration::ZERO, 2)
-        });
-        assert!(report.schedules > 1, "explored: {report:?}");
-    }
-
-    #[test]
-    fn linger_topup_handshake_random() {
-        // A huge linger forces the condvar top-up path: the writer must
-        // still flush everything and exit promptly on shutdown (a hang
-        // here would blow the step budget). The timeout branch itself is
-        // a scheduling choice, so random search covers both wake paths.
-        check(
-            Mode::Random {
-                seed: 0x4E54_5249_4E47,
-                iters: 200,
-            },
-            Options::named("net-ring-linger"),
-            || push_drain_shutdown_model(Duration::from_secs(3600), 2),
-        );
-    }
-
-    #[test]
-    fn two_pushers_never_lose_frames_exhaustive() {
-        // Two concurrent pushers: per-pusher FIFO must survive any
-        // interleaving of the pushes with the drain.
-        check(Mode::Exhaustive, Options::named("net-ring-2push"), || {
-            let out = Arc::new(model_out());
-            let shared = Arc::clone(&out.shared);
-            let writer = hts_mc::spawn(move || {
-                let mut got = Vec::new();
-                while let Some((batch, _)) = next_batch(&shared, 4, 1 << 20, Duration::ZERO) {
-                    got.extend(batch);
-                }
-                got
-            });
-            let o2 = Arc::clone(&out);
-            let pusher = hts_mc::spawn(move || o2.push(vec![frame(10), frame(11)]));
-            out.push(vec![frame(20)]);
-            pusher.join();
-            drop(Arc::into_inner(out).expect("last handle")); // shutdown
-            let got = writer.join();
-            let tens: Vec<&RingFrame> = got
-                .iter()
-                .filter(|f| f == &&frame(10) || f == &&frame(11))
-                .collect();
-            assert_eq!(tens, vec![&frame(10), &frame(11)], "pusher FIFO broken");
-            assert_eq!(got.len(), 3, "frame lost or duplicated: {got:?}");
-        });
     }
 }

@@ -4,23 +4,23 @@
 //! [`Session`] is the transport for [`SessionCore`]: a **window** of
 //! concurrent operations multiplexed over one connection per server.
 //! Replies from every connection pump into one event channel, so
-//! completions are matched asynchronously and out of order. On Linux a
-//! **single poller thread** owns every connection's read half (epoll
-//! readiness via `hts-poll` — one thread per session, however many
-//! servers it talks to); elsewhere — or with `HTS_REACTOR=0` — the
-//! fallback spawns one reader thread per connection. The writer half
-//! runs on the caller thread either way and **coalesces** back-to-back
-//! requests into one buffered write + one flush per burst (a pipeline
-//! fill of 64 small requests costs one syscall, not 64). Every request
-//! keeps its own deadline and retry budget, reusing the stall-fix
-//! machinery of the sequential [`Client`](crate::Client): a bounded
-//! `connect_timeout`, per-attempt deadlines that stale traffic cannot
-//! extend, and rotation to the next server believed alive.
+//! completions are matched asynchronously and out of order. A **single
+//! poller thread** owns every connection's read half (epoll readiness
+//! via `hts-poll` — one thread per session, however many servers it
+//! talks to). The writer half runs on the caller thread and
+//! **coalesces** back-to-back requests into one buffered write + one
+//! flush per burst (a pipeline fill of 64 small requests costs one
+//! syscall, not 64). Every request keeps its own deadline and retry
+//! budget: a bounded `connect_timeout`, per-attempt deadlines that stale
+//! traffic cannot extend, and rotation to the next server believed
+//! alive. The sequential [`Client`](crate::Client) is a window-1
+//! session.
 
 use std::collections::HashMap;
 use std::io::{self, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::os::fd::AsRawFd;
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -30,9 +30,11 @@ use hts_core::SessionCore;
 use hts_poll::{Events, Interest, Poller, Token, Waker};
 use hts_types::{codec::Hello, ClientId, Message, ObjectId, RequestId, ServerId, Value};
 
-use crate::client::{validate_addrs, RETRY_CYCLES};
-use crate::framing::{frame_into, MessagePoll, MessageReader, NbMessageReader};
-use std::sync::Arc;
+use crate::framing::{frame_into, MessagePoll, NbMessageReader};
+
+/// An operation is abandoned after this many full cycles of attempts
+/// around the ring (`addrs.len() * RETRY_CYCLES` sends in total).
+const RETRY_CYCLES: usize = 8;
 
 /// Coalesced requests flush once this many buffered bytes accumulate
 /// (bounds the scratch buffers under a pipeline of large writes).
@@ -47,16 +49,8 @@ enum SessionEvent {
     Disconnected(ServerId, u64),
 }
 
-/// Where the read halves of a session's connections are pumped from.
-enum ReaderBackend {
-    /// One shared epoll poller thread owns every read half (Linux): the
-    /// session costs one thread total, however many servers it talks to.
-    Hub(ReaderHub),
-    /// One blocking reader thread per connection (non-Linux hosts, or
-    /// `HTS_REACTOR=0`).
-    Threads,
-}
-
+/// The session's poller thread: one epoll instance owns every
+/// connection's read half.
 struct ReaderHub {
     ctl: Sender<HubCtl>,
     waker: Arc<Waker>,
@@ -70,27 +64,21 @@ enum HubCtl {
     Exit,
 }
 
-impl ReaderBackend {
-    /// Picks the backend: a shared poller thread where `hts-poll` is
-    /// available (and not disabled via `HTS_REACTOR=0`), else falling
-    /// back to per-connection reader threads. The poller thread spawns
-    /// eagerly — it is the session's only helper thread and parks in
-    /// `epoll_wait` until woken.
-    fn new(events: Sender<SessionEvent>) -> ReaderBackend {
-        if !crate::server::readiness_enabled() {
-            return ReaderBackend::Threads;
-        }
-        let Ok(poller) = Poller::new() else {
-            return ReaderBackend::Threads;
-        };
-        let Ok(waker) = Waker::new(&poller, Token(0)) else {
-            return ReaderBackend::Threads;
-        };
-        let waker = Arc::new(waker);
+impl ReaderHub {
+    /// Spawns the poller thread eagerly — it is the session's only
+    /// helper thread and parks in `epoll_wait` until woken.
+    ///
+    /// # Errors
+    ///
+    /// Poller or eventfd creation failures; [`io::ErrorKind::Unsupported`]
+    /// off Linux.
+    fn spawn(events: Sender<SessionEvent>) -> io::Result<ReaderHub> {
+        let poller = Poller::new()?;
+        let waker = Arc::new(Waker::new(&poller, Token(0))?);
         let (ctl_tx, ctl_rx) = unbounded();
         let hub_waker = Arc::clone(&waker);
         let handle = std::thread::spawn(move || hub_loop(poller, hub_waker, ctl_rx, events));
-        ReaderBackend::Hub(ReaderHub {
+        Ok(ReaderHub {
             ctl: ctl_tx,
             waker,
             handle: Some(handle),
@@ -168,7 +156,7 @@ fn hub_loop(
                             stream,
                             server,
                             gen,
-                            reader: NbMessageReader::new(true),
+                            reader: NbMessageReader::new(),
                         },
                     );
                 }
@@ -188,7 +176,7 @@ struct Conn {
     /// caller that sits between `begin_*` and `wait` must not make its
     /// own requests look timed out.
     buffered: Vec<RequestId>,
-    /// Reader-thread generation, to ignore stale disconnect events.
+    /// Connection generation, to ignore stale disconnect events.
     gen: u64,
 }
 
@@ -228,14 +216,20 @@ pub struct Session {
     gens: Vec<u64>,
     id: ClientId,
     timeout: Duration,
-    events_tx: Sender<SessionEvent>,
     events_rx: Receiver<SessionEvent>,
     /// Per-request retry deadline (armed when the request is flushed).
     deadlines: HashMap<RequestId, Instant>,
     /// Finished operations awaiting their `wait` call.
     completed: HashMap<RequestId, io::Result<Option<Value>>>,
-    /// Who pumps replies off the sockets.
-    reader: ReaderBackend,
+    /// Pumps replies off the sockets.
+    reader: ReaderHub,
+    /// Stats requests issued so far; their ids count *down* from
+    /// `u64::MAX` so they never collide with the core's op request ids
+    /// (which count up from 1).
+    stats_seq: u64,
+    /// The stats exchange in progress: its request id, and the reply
+    /// text once it lands.
+    stats: Option<(RequestId, Option<String>)>,
 }
 
 impl Session {
@@ -245,7 +239,8 @@ impl Session {
     /// # Errors
     ///
     /// Returns [`io::ErrorKind::InvalidInput`] if `addrs` is empty or
-    /// `window` is zero. Connections themselves are opened on first use.
+    /// `window` is zero, and [`io::ErrorKind::Unsupported`] off Linux.
+    /// Connections themselves are opened on first use.
     pub fn connect(id: u32, addrs: Vec<SocketAddr>, window: usize) -> io::Result<Session> {
         Session::connect_preferring(id, addrs, ServerId(0), window)
     }
@@ -273,7 +268,7 @@ impl Session {
         let n = addrs.len() as u16;
         let id = ClientId(id);
         let (events_tx, events_rx) = unbounded();
-        let reader = ReaderBackend::new(events_tx.clone());
+        let reader = ReaderHub::spawn(events_tx)?;
         Ok(Session {
             core: SessionCore::new(id, ObjectId::SINGLE, n, preferred, window),
             conns: (0..n).map(|_| None).collect(),
@@ -281,11 +276,12 @@ impl Session {
             addrs,
             id,
             timeout: Duration::from_millis(500),
-            events_tx,
             events_rx,
             deadlines: HashMap::new(),
             completed: HashMap::new(),
             reader,
+            stats_seq: 0,
+            stats: None,
         })
     }
 
@@ -373,7 +369,7 @@ impl Session {
                     format!("{request} is not an outstanding operation of this session"),
                 ));
             }
-            self.pump()?;
+            self.pump(None)?;
         }
         match self.completed.remove(&request) {
             Some(result) => result,
@@ -399,8 +395,7 @@ impl Session {
     /// As [`Session::wait`].
     pub fn read(&mut self) -> io::Result<Value> {
         let request = self.begin_read()?;
-        self.wait(request)
-            .and_then(crate::client::require_read_value)
+        self.wait(request).and_then(require_read_value)
     }
 
     /// Waits for every outstanding operation, returning the first error
@@ -430,11 +425,70 @@ impl Session {
         }
     }
 
+    /// Fetches `server`'s live metrics registry as Prometheus-style text
+    /// exposition (the server-side [`hts_metrics::render`]; empty when
+    /// the server was built with the `metrics` feature off).
+    ///
+    /// Stats deliberately bypass the retry rotation: the caller asks ONE
+    /// server for ITS process-wide registry — a different server
+    /// answering would silently report the wrong process. The exchange
+    /// runs outside the window, under the ordinary per-attempt timeout,
+    /// and keeps driving any operations in flight while it waits.
+    ///
+    /// # Errors
+    ///
+    /// [`io::ErrorKind::InvalidInput`] for a server outside the address
+    /// map; otherwise connect, send and timeout errors against that
+    /// specific server.
+    pub fn stats(&mut self, server: ServerId) -> io::Result<String> {
+        if server.index() >= self.addrs.len() {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "{server} outside the {}-server address map",
+                    self.addrs.len()
+                ),
+            ));
+        }
+        self.ensure_connection(server)?;
+        self.stats_seq += 1;
+        let request = RequestId(u64::MAX - self.stats_seq);
+        let Some(conn) = self.conns[server.index()].as_mut() else {
+            return Err(io::Error::other("connection lost between ensure and send"));
+        };
+        let gen = conn.gen;
+        frame_into(&mut conn.outbuf, &Message::StatsRequest { request });
+        self.stats = Some((request, None));
+        let deadline = Instant::now() + self.timeout;
+        let result = loop {
+            if let Some((_, Some(text))) = self.stats.as_mut() {
+                break Ok(std::mem::take(text));
+            }
+            if self.conns[server.index()].as_ref().map(|c| c.gen) != Some(gen) {
+                break Err(io::Error::new(
+                    io::ErrorKind::ConnectionAborted,
+                    format!("connection to {server} lost awaiting its stats"),
+                ));
+            }
+            if Instant::now() >= deadline {
+                break Err(io::Error::new(
+                    io::ErrorKind::TimedOut,
+                    "no stats reply within the timeout",
+                ));
+            }
+            if let Err(e) = self.pump(Some(deadline)) {
+                break Err(e);
+            }
+        };
+        self.stats = None;
+        result
+    }
+
     /// Makes room for one more operation, driving the pipeline while the
     /// window is full.
     fn admit(&mut self) -> io::Result<()> {
         while !self.core.has_capacity() {
-            self.pump()?;
+            self.pump(None)?;
         }
         Ok(())
     }
@@ -483,7 +537,6 @@ impl Session {
                 buffered,
                 ..
             } = conn;
-            hts_types::sync::blocking_syscall("session coalesced send");
             let result = write_all_waiting(stream, outbuf, timeout);
             outbuf.clear();
             (result, std::mem::take(buffered))
@@ -515,12 +568,12 @@ impl Session {
     }
 
     /// One pipeline turn: flush buffered requests, then block for the
-    /// next event (reply or disconnect) or the earliest retry deadline,
-    /// whichever comes first.
-    fn pump(&mut self) -> io::Result<()> {
+    /// next event (reply or disconnect), the earliest retry deadline or
+    /// `until`, whichever comes first.
+    fn pump(&mut self, until: Option<Instant>) -> io::Result<()> {
         self.flush_all()?;
         let now = Instant::now();
-        let next_deadline = self.deadlines.values().min().copied();
+        let next_deadline = self.deadlines.values().copied().chain(until).min();
         let budget = match next_deadline {
             Some(at) => at.saturating_duration_since(now),
             // Nothing in flight: nothing can wake us — the callers
@@ -530,10 +583,11 @@ impl Session {
         match self.events_rx.recv_timeout(budget) {
             Ok(event) => self.absorb(event)?,
             Err(RecvTimeoutError::Timeout) => {}
-            // The session holds its own event sender, so this cannot
-            // fire; report it rather than panic the caller thread.
+            // Only the poller thread sends; it exits early only when
+            // epoll itself fails. Report it rather than panic the caller
+            // thread.
             Err(RecvTimeoutError::Disconnected) => {
-                return Err(io::Error::other("session event channel closed"))
+                return Err(io::Error::other("session poller thread exited"))
             }
         }
         // Drain whatever else already arrived — a burst of replies is
@@ -547,6 +601,16 @@ impl Session {
 
     fn absorb(&mut self, event: SessionEvent) -> io::Result<()> {
         match event {
+            SessionEvent::Reply(Message::StatsReply { request, text }) => {
+                // Stale stats replies (an earlier call timed out) fall
+                // through unmatched.
+                if let Some((pending, slot)) = self.stats.as_mut() {
+                    if *pending == request {
+                        *slot = Some(String::from_utf8_lossy(text.as_bytes()).into_owned());
+                    }
+                }
+                Ok(())
+            }
             SessionEvent::Reply(msg) => {
                 if let Some(done) = self.core.on_reply(&msg) {
                     self.deadlines.remove(&done.request);
@@ -579,8 +643,8 @@ impl Session {
             // requests' replies are still in flight on it, and a late
             // reply to the rotated request remains a valid completion
             // (same request id; the paper's retry rule). A genuinely
-            // dead connection is the reader thread's disconnect event,
-            // which reroutes everything at once.
+            // dead connection is the poller's disconnect event, which
+            // reroutes everything at once.
             match self.core.on_timeout(request) {
                 Some((server, msg)) => self.retry(request, server, &msg)?,
                 None => {
@@ -608,14 +672,13 @@ impl Session {
         Ok(())
     }
 
-    /// One rerouted attempt of `request`, under the retry budget of a
-    /// full cycle around the ring (the sequential client's
-    /// `max_attempts`; counted by the core — see
-    /// [`SessionCore::attempts_of`]). Over budget, the operation is
-    /// abandoned and its `wait` reports `TimedOut`.
+    /// One rerouted attempt of `request`, under the retry budget of
+    /// [`RETRY_CYCLES`] full cycles around the ring (counted by the core
+    /// — see [`SessionCore::attempts_of`]). Over budget, the operation
+    /// is abandoned and its `wait` reports `TimedOut`.
     fn retry(&mut self, request: RequestId, server: ServerId, msg: &Message) -> io::Result<()> {
         // `attempts` counts re-sends, so this bounds total sends at
-        // `addrs.len() * RETRY_CYCLES` — the sequential Client's budget.
+        // `addrs.len() * RETRY_CYCLES`.
         let attempts = self.core.attempts_of(request).unwrap_or(0);
         if (attempts as usize) >= self.addrs.len() * RETRY_CYCLES {
             self.core.abort(request);
@@ -632,8 +695,8 @@ impl Session {
         self.dispatch(request, server, msg)
     }
 
-    /// Closes the connection to `server` (both halves; the reader thread
-    /// unblocks with an error and exits as a stale generation).
+    /// Closes the connection to `server` (both halves; the poller reads
+    /// EOF and reports a stale generation).
     fn teardown(&mut self, server: ServerId) {
         if let Some(conn) = self.conns[server.index()].take() {
             let _ = conn.stream.shutdown(Shutdown::Both);
@@ -643,10 +706,9 @@ impl Session {
 
     /// (Re)opens the connection to `server`, bounded by the per-attempt
     /// timeout (a SYN-blackholed server costs one attempt, not the OS
-    /// connect timeout), and hands the read half to the shared poller
-    /// thread (or spawns a dedicated reader thread on the fallback
-    /// backend). Success clears any suspicion against `server` — this is
-    /// how a restarted server re-earns its place in the routing map.
+    /// connect timeout), and hands the read half to the poller thread.
+    /// Success clears any suspicion against `server` — this is how a
+    /// restarted server re-earns its place in the routing map.
     fn ensure_connection(&mut self, server: ServerId) -> io::Result<()> {
         if self.conns[server.index()].is_some() {
             return Ok(());
@@ -657,22 +719,19 @@ impl Session {
         writer.write_all(&Hello::Client(self.id).encode())?;
         let gen = self.gens[server.index()];
         let reader = stream.try_clone()?;
-        match &self.reader {
-            ReaderBackend::Hub(hub) => {
-                // O_NONBLOCK lives on the shared file description, so
-                // this also makes the writer clone nonblocking —
-                // `flush_server` waits out WouldBlock explicitly.
-                reader.set_nonblocking(true)?;
-                if hub.ctl.send(HubCtl::Add(server, gen, reader)).is_err() {
-                    return Err(io::Error::other("session poller thread gone"));
-                }
-                hub.waker.wake();
-            }
-            ReaderBackend::Threads => {
-                let events = self.events_tx.clone();
-                std::thread::spawn(move || reader_loop(reader, server, gen, events));
-            }
+        // O_NONBLOCK lives on the shared file description, so this also
+        // makes the writer clone nonblocking — `flush_server` waits out
+        // WouldBlock explicitly.
+        reader.set_nonblocking(true)?;
+        if self
+            .reader
+            .ctl
+            .send(HubCtl::Add(server, gen, reader))
+            .is_err()
+        {
+            return Err(io::Error::other("session poller thread gone"));
         }
+        self.reader.waker.wake();
         self.conns[server.index()] = Some(Conn {
             stream: writer,
             outbuf: BytesMut::new(),
@@ -684,10 +743,9 @@ impl Session {
     }
 }
 
-/// `write_all` over a possibly-nonblocking socket: parks in
+/// `write_all` over a nonblocking socket: parks in
 /// [`hts_poll::wait_fd`] on `WouldBlock` instead of spinning, bounded by
-/// `timeout` per stall. On the blocking fallback backend the socket
-/// never reports `WouldBlock` and this is a plain `write_all`.
+/// `timeout` per stall.
 fn write_all_waiting(stream: &mut TcpStream, mut buf: &[u8], timeout: Duration) -> io::Result<()> {
     while !buf.is_empty() {
         match stream.write(buf) {
@@ -710,40 +768,49 @@ fn write_all_waiting(stream: &mut TcpStream, mut buf: &[u8], timeout: Duration) 
 
 impl Drop for Session {
     fn drop(&mut self) {
-        // Unblock and retire every reader (threads exit on the socket
-        // error; the hub drops each connection as it reads EOF).
+        // Close every connection (the poller drops each as it reads
+        // EOF), then retire the poller thread itself, deterministically:
+        // when drop returns, the session holds no threads and no sockets.
         for i in 0..self.conns.len() {
             self.teardown(ServerId(i as u16));
         }
-        // Then retire the poller thread itself, deterministically: when
-        // drop returns, the session holds no threads and no sockets.
-        if let ReaderBackend::Hub(hub) = &mut self.reader {
-            let _ = hub.ctl.send(HubCtl::Exit);
-            hub.waker.wake();
-            if let Some(handle) = hub.handle.take() {
-                let _ = handle.join();
-            }
+        let _ = self.reader.ctl.send(HubCtl::Exit);
+        self.reader.waker.wake();
+        if let Some(handle) = self.reader.handle.take() {
+            let _ = handle.join();
         }
     }
 }
 
-/// Pumps decoded replies from one connection into the session's event
-/// channel until the connection dies. The [`MessageReader`] decodes each
-/// reply in place: a read's 64 KiB value is a view of the receive
-/// buffer, and value-free acks recycle theirs.
-fn reader_loop(mut stream: TcpStream, server: ServerId, gen: u64, events: Sender<SessionEvent>) {
-    let mut scratch = MessageReader::new();
-    loop {
-        match scratch.read(&mut stream) {
-            Ok(msg) => {
-                if events.send(SessionEvent::Reply(msg)).is_err() {
-                    return; // session gone
-                }
-            }
-            Err(_) => {
-                let _ = events.send(SessionEvent::Disconnected(server, gen));
-                return;
-            }
-        }
+/// Validates a cluster address map: non-empty, small enough to index by
+/// [`ServerId`], and containing `preferred` — so a bad deployment
+/// description surfaces as a real connect error instead of a panic deep
+/// in a worker thread.
+fn validate_addrs(addrs: &[SocketAddr], preferred: ServerId) -> io::Result<()> {
+    if addrs.is_empty() {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            "need at least one server address",
+        ));
     }
+    if addrs.len() > usize::from(u16::MAX) {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("{} servers exceed the u16 ServerId space", addrs.len()),
+        ));
+    }
+    if preferred.index() >= addrs.len() {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("{preferred} outside the {}-server address map", addrs.len()),
+        ));
+    }
+    Ok(())
+}
+
+/// Unwraps the value of a completed read: the core attaches one to every
+/// read completion, so its absence is a protocol bug — reported to the
+/// caller, not panicked on the client thread.
+pub(crate) fn require_read_value(value: Option<Value>) -> io::Result<Value> {
+    value.ok_or_else(|| io::Error::other("read completed without a value"))
 }

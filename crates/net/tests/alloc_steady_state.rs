@@ -3,24 +3,23 @@
 //!
 //! * [`codec::decode_shared`] performs **zero** heap allocations — every
 //!   decoded `Value` is a refcounted view of the input buffer;
-//! * a steady-state [`MessageReader`] loop over value-free messages
+//! * a steady-state [`NbMessageReader`] loop over value-free messages
 //!   costs at most one small allocation per message (the shared
 //!   buffer's refcount block, reclaimed again by the recycler) — never
 //!   anything proportional to message size;
 //! * the seqlock [`ReadCell`] fast path answers reads with zero
-//!   allocations per op;
-//! * the copying baseline (`read_message_copied`) allocates strictly
-//!   more than the zero-copy reader on value-bearing traffic.
+//!   allocations per op.
 //!
 //! Everything runs in one `#[test]` so no parallel test thread pollutes
 //! the counts (this file is its own test binary, so the allocator hook
 //! is scoped to exactly these assertions).
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::io::Cursor;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use hts_core::ReadCell;
-use hts_net::{read_message_copied, MessageReader};
+use hts_net::{MessagePoll, NbMessageReader};
 use hts_types::{codec, Message, ObjectId, RequestId, ServerId, Tag, Value};
 
 struct CountingAlloc;
@@ -59,6 +58,25 @@ fn allocs_during<T>(f: impl FnOnce() -> T) -> (u64, T) {
     (ALLOCS.load(Ordering::Relaxed) - before, out)
 }
 
+/// `count` copies of `msg`, each length-prefixed as on the wire.
+fn framed(msg: &Message, count: usize) -> Vec<u8> {
+    let body = codec::encode(msg);
+    let mut buf = Vec::new();
+    for _ in 0..count {
+        buf.extend_from_slice(&(body.len() as u32).to_be_bytes());
+        buf.extend_from_slice(&body);
+    }
+    buf
+}
+
+/// The next message of `cursor`, which must hold a whole one.
+fn read_one(reader: &mut NbMessageReader, cursor: &mut Cursor<Vec<u8>>) -> Message {
+    match reader.poll(cursor).expect("read") {
+        MessagePoll::Msg(msg) => msg,
+        other => panic!("expected a message, got {other:?}"),
+    }
+}
+
 fn write_req(len: usize) -> Message {
     Message::WriteReq {
         object: ObjectId(1),
@@ -86,23 +104,19 @@ fn steady_state_allocation_profile() {
     );
     drop(decoded);
 
-    // --- MessageReader: ≤ 1 small allocation per value-free message. ---
+    // --- NbMessageReader: ≤ 1 small allocation per value-free message. ---
     let ack = Message::WriteAck {
         object: ObjectId(1),
         request: RequestId(2),
     };
-    let mut buf = Vec::new();
-    for _ in 0..64 {
-        hts_net::write_message(&mut buf, &ack).expect("frame");
-    }
-    let mut reader = MessageReader::new();
-    let mut cursor = &buf[..];
+    let mut cursor = Cursor::new(framed(&ack, 64));
+    let mut reader = NbMessageReader::new();
     for _ in 0..8 {
-        assert_eq!(reader.read(&mut cursor).expect("warm-up"), ack);
+        assert_eq!(read_one(&mut reader, &mut cursor), ack);
     }
     let (allocs, ()) = allocs_during(|| {
         for _ in 0..56 {
-            assert_eq!(reader.read(&mut cursor).expect("read"), ack);
+            assert_eq!(read_one(&mut reader, &mut cursor), ack);
         }
     });
     assert!(
@@ -129,30 +143,5 @@ fn steady_state_allocation_profile() {
         allocs, 0,
         "the seqlock read path must be allocation-free: the value clone \
          is a refcount bump"
-    );
-
-    // --- Value-bearing wire reads: zero-copy < copying, per message. ---
-    let msg = write_req(64 * 1024);
-    let mut buf = Vec::new();
-    for _ in 0..8 {
-        hts_net::write_message(&mut buf, &msg).expect("frame");
-    }
-    let mut reader = MessageReader::new();
-    let mut cursor = &buf[..];
-    let (zero_copy_allocs, ()) = allocs_during(|| {
-        for _ in 0..8 {
-            assert_eq!(reader.read(&mut cursor).expect("read"), msg);
-        }
-    });
-    let mut cursor = &buf[..];
-    let (copied_allocs, ()) = allocs_during(|| {
-        for _ in 0..8 {
-            assert_eq!(read_message_copied(&mut cursor).expect("read"), msg);
-        }
-    });
-    assert!(
-        zero_copy_allocs < copied_allocs,
-        "zero-copy reads ({zero_copy_allocs} allocs) must beat the \
-         copying baseline ({copied_allocs} allocs) on value-bearing traffic"
     );
 }

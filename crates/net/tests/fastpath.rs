@@ -1,8 +1,7 @@
 //! End-to-end tests of the lock-free read fast path over real TCP: reads
-//! answered on the connection's reader thread straight from the seqlock
-//! cell, without a trip through the lane event loop — plus the
-//! `zero_copy = false` ablation path and a lincheck run with the fast
-//! path enabled across a kill + restart.
+//! answered by the lane thread that owns the connection straight from
+//! the seqlock cell, without a call into the protocol core — plus a
+//! lincheck run with the fast path enabled across a kill + restart.
 
 use std::fs;
 use std::path::PathBuf;
@@ -25,8 +24,8 @@ fn nanos_since(epoch: Instant) -> u64 {
 }
 
 /// With the ring idle, every read is answerable from the cell on the
-/// reader thread — the hit counter must move, and the values must be
-/// exactly what the event loop would have served.
+/// lane thread — the hit counter must move, and the values must be
+/// exactly what the protocol core would have served.
 #[cfg(feature = "metrics")]
 #[test]
 fn idle_ring_reads_hit_the_fast_path() {
@@ -63,31 +62,9 @@ fn idle_ring_reads_hit_the_fast_path() {
     cluster.shutdown();
 }
 
-/// The copying inbound path (`zero_copy = false`) is the fig1 ablation
-/// baseline: same wire format, same answers — including a value large
-/// enough to span many socket reads.
-#[test]
-fn copying_decode_path_serves_identically() {
-    let cluster = Cluster::launch_with(
-        2,
-        Config {
-            zero_copy: false,
-            ..Config::default()
-        },
-    )
-    .expect("launch");
-    let mut client = Client::connect(1, cluster.addrs()).expect("client");
-    let big = Value::filled(7, 64 * 1024);
-    client.write(big.clone()).expect("write 64 KiB");
-    assert_eq!(client.read().expect("read"), big);
-    client.write(Value::from_u64(3)).expect("overwrite");
-    assert_eq!(client.read().expect("read"), Value::from_u64(3));
-    cluster.shutdown();
-}
-
 /// Concurrent writers and readers with the fast path on, a server
 /// bounced mid-run, and the full history checked for atomicity: the
-/// reader-thread shortcut must never serve a value the event loop could
+/// snapshot shortcut must never serve a value the protocol core could
 /// not have served.
 #[test]
 fn fast_path_stays_atomic_through_kill_restart() {

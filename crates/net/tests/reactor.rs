@@ -1,8 +1,8 @@
-//! Reactor-backend edge cases over real TCP: deterministic teardown
-//! (dropped servers release their port and close every connection),
-//! reconnect-while-writable races on the outbound ring, and
-//! backend equivalence — the same kill/restart scenario is linearizable
-//! with `Config::reactor` on and off.
+//! Reactor edge cases over real TCP: deterministic teardown (dropped
+//! servers release their port and close every connection),
+//! reconnect-while-writable races on the outbound ring, and a
+//! kill/restart scenario under pipelined load that must stay
+//! linearizable.
 
 use std::fs;
 use std::io::{Read, Write};
@@ -24,12 +24,6 @@ fn tmp_base(name: &str) -> PathBuf {
 
 fn nanos_since(epoch: Instant) -> u64 {
     epoch.elapsed().as_nanos() as u64
-}
-
-/// Whether this process runs the reactor backend (mirrors the dispatch
-/// in `Server::spawn`: Linux, not overridden by `HTS_REACTOR=0`).
-fn reactor_active() -> bool {
-    cfg!(target_os = "linux") && std::env::var_os("HTS_REACTOR").is_none_or(|v| v != "0")
 }
 
 /// Reserves `n` ephemeral localhost ports (the cluster-harness trick:
@@ -70,26 +64,8 @@ fn dropped_server_port_is_immediately_rebindable() {
     // is free the moment the next statement runs.
     drop(s0);
     drop(s1);
-    if reactor_active() {
-        for addr in &addrs {
-            TcpListener::bind(addr).expect("port must be rebindable right after drop");
-        }
-    } else {
-        // The threaded backend's acceptor exits asynchronously; allow it
-        // a bounded moment (this leg keeps the fallback honest, not
-        // instant).
-        for addr in &addrs {
-            let deadline = Instant::now() + Duration::from_secs(2);
-            loop {
-                match TcpListener::bind(addr) {
-                    Ok(_) => break,
-                    Err(e) if Instant::now() >= deadline => {
-                        panic!("port still bound 2s after drop: {e}")
-                    }
-                    Err(_) => std::thread::sleep(Duration::from_millis(20)),
-                }
-            }
-        }
+    for addr in &addrs {
+        TcpListener::bind(addr).expect("port must be rebindable right after drop");
     }
 }
 
@@ -189,13 +165,12 @@ fn reconnect_while_writable_races_stay_consistent() {
 }
 
 /// One kill/restart scenario under a pipelined load, with the full
-/// history linearizability-checked. Runs identically for either backend
-/// — `reactor` only flips `Config::reactor`.
-fn kill_restart_scenario(reactor: bool, tag: &str) {
-    let base = tmp_base(tag);
+/// history linearizability-checked.
+#[test]
+fn kill_restart_under_pipelined_load_is_linearizable() {
+    let base = tmp_base("kill-restart");
     let config = Config {
         lanes: 2,
-        reactor,
         ..Config::default()
     };
     let mut cluster = Cluster::launch_durable(3, config, &base).expect("launch");
@@ -267,19 +242,9 @@ fn kill_restart_scenario(reactor: bool, tag: &str) {
     let violations = check_conditions(&history);
     assert!(
         violations.is_empty(),
-        "atomicity violations (reactor={reactor}): {violations:?}\n{history}"
+        "atomicity violations: {violations:?}\n{history}"
     );
 
     cluster.shutdown();
     let _ = fs::remove_dir_all(&base);
-}
-
-#[test]
-fn backend_equivalence_reactor_on() {
-    kill_restart_scenario(true, "equiv-on");
-}
-
-#[test]
-fn backend_equivalence_reactor_off() {
-    kill_restart_scenario(false, "equiv-off");
 }

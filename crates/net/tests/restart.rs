@@ -9,8 +9,8 @@ use std::time::{Duration, Instant};
 
 use hts_core::Config;
 use hts_lincheck::{check_conditions, check_exhaustive_bounded, History, Outcome};
-use hts_net::{Client, Cluster};
-use hts_types::{ClientId, ServerId, Value};
+use hts_net::{Client, Cluster, Session};
+use hts_types::{ClientId, ObjectId, ServerId, Value};
 
 fn tmp_base(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("hts-net-restart-{name}-{}", std::process::id()));
@@ -57,9 +57,9 @@ fn kill_restart_rejoin_serves_pre_and_post_crash_data() {
 
     // Read *through the restarted server*: it must serve the write it
     // missed (learned from its predecessor's recovery stream), not its
-    // stale log state.
-    let mut reader =
-        Client::connect_preferring(100, addrs.clone(), ServerId(1)).expect("reader at s1");
+    // stale log state. The client knows only s1, so it cannot quietly
+    // rotate to a survivor.
+    let mut reader = Client::connect(100, vec![addrs[1]]).expect("reader at s1");
     reader.set_timeout(Duration::from_millis(500));
     let op = history.invoke_read(ClientId(100), nanos_since(epoch));
     let got = reader.read().expect("read through restarted server");
@@ -71,8 +71,7 @@ fn kill_restart_rejoin_serves_pre_and_post_crash_data() {
     );
 
     // The rejoined server also coordinates fresh writes.
-    let mut rejoined_writer =
-        Client::connect_preferring(101, addrs.clone(), ServerId(1)).expect("writer at s1");
+    let mut rejoined_writer = Client::connect(101, vec![addrs[1]]).expect("writer at s1");
     rejoined_writer.set_timeout(Duration::from_millis(500));
     let v7 = Value::from_u64(7);
     let op = history.invoke_write(ClientId(101), v7.clone(), nanos_since(epoch));
@@ -102,6 +101,77 @@ fn kill_restart_rejoin_serves_pre_and_post_crash_data() {
             Outcome::Linearizable | Outcome::Unknown
         ),
         "exhaustive checker rejected the history\n{history}"
+    );
+
+    cluster.shutdown();
+    let _ = fs::remove_dir_all(&base);
+}
+
+/// Blocks until a survivor has declared a crash since the counter read
+/// `before` (metrics off: a fixed splice allowance instead).
+fn await_crash_verdict(before: u64) {
+    if !cfg!(feature = "metrics") {
+        std::thread::sleep(Duration::from_millis(300));
+        return;
+    }
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while hts_metrics::counter("hts_net_crash_verdicts_total").get() == before {
+        assert!(Instant::now() < deadline, "no crash verdict within 5 s");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// After a restart, the predecessor's recovery stream to the restarted
+/// server covers every object it holds: far more frames than the ring
+/// pipeline admits at once (two batches). Regression test for a stall:
+/// once a flush returned the pipeline credit synchronously, nothing
+/// pumped the lane again, so on an otherwise idle ring the rest of the
+/// stream — and the rejoin announcement queued behind it — never left,
+/// and the restarted server kept queueing reads in resync forever.
+#[test]
+fn restarted_server_answers_after_a_recovery_stream_longer_than_the_pipeline() {
+    let base = tmp_base("long-resync");
+    let mut cluster = Cluster::launch_durable(3, Config::default(), &base).expect("launch");
+    let addrs = cluster.addrs();
+    let value = Value::filled(7, 64);
+    let mut writer = Session::connect(1, addrs.clone(), 32).expect("writer");
+    writer.set_timeout(Duration::from_millis(500));
+    for object in 0..1024u32 {
+        writer
+            .begin_write_to(ObjectId(object), value.clone())
+            .expect("begin write");
+    }
+    writer.drain().expect("every write acknowledged");
+    drop(writer);
+
+    let before = hts_metrics::counter("hts_net_crash_verdicts_total").get();
+    cluster.crash(ServerId(1)).expect("crash");
+    await_crash_verdict(before);
+    let restarted = Instant::now();
+    cluster.restart(ServerId(1)).expect("restart");
+
+    // A session that knows only s1: whatever answers is the restarted
+    // server itself.
+    let mut probe = Session::connect(2, vec![addrs[1]], 1).expect("probe");
+    probe.set_timeout(Duration::from_millis(200));
+    let mut answered = None;
+    while answered.is_none() && restarted.elapsed() < Duration::from_secs(2) {
+        if let Ok(Some(got)) = probe
+            .begin_read_from(ObjectId(0))
+            .and_then(|r| probe.wait(r))
+        {
+            answered = Some(got);
+        }
+    }
+    let elapsed = restarted.elapsed();
+    assert_eq!(
+        answered,
+        Some(value),
+        "restarted s1 answered no read within 2 s"
+    );
+    assert!(
+        elapsed < Duration::from_secs(2),
+        "restarted s1 took {elapsed:?} to answer a read"
     );
 
     cluster.shutdown();
@@ -216,7 +286,7 @@ fn stale_parked_connection_is_retried_not_declared_a_crash() {
     // s2 then bounces too — s0 is non-adjacent and never observes it, so
     // the parked entry silently goes stale. When s1 later dies for good
     // and s0 re-splices to s2, the first write rides the dead socket:
-    // the event loop must retry over a fresh connection instead of
+    // the lane must retry over a fresh connection instead of
     // declaring the live, rejoined s2 crashed (which would wedge the
     // ring and serve stale reads forever).
     let base = tmp_base("stale-park");

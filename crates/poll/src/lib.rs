@@ -18,8 +18,8 @@
 //!    number of partial reads).
 //!
 //! On non-Linux targets the pure state machines still compile and the
-//! syscall-backed types report `Unsupported`; the net layer falls back
-//! to its threaded backend there (see [`supported`]).
+//! syscall-backed types report `Unsupported`; the net layer's TCP
+//! runtime is Linux-only and passes that error on.
 
 use std::io::{self, Read, Write};
 
@@ -126,11 +126,6 @@ impl Events {
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
-}
-
-/// Whether the syscall-backed half of this crate works on this target.
-pub fn supported() -> bool {
-    cfg!(target_os = "linux")
 }
 
 #[cfg(target_os = "linux")]
@@ -515,8 +510,8 @@ pub use poller::{connect_nonblocking, wait_fd, Poller, Waker};
 
 #[cfg(not(target_os = "linux"))]
 mod poller_stub {
-    //! Non-Linux stand-ins: everything reports `Unsupported` so the
-    //! net layer can fall back to its threaded backend at runtime.
+    //! Non-Linux stand-ins: everything reports `Unsupported`, which the
+    //! net layer passes on (its TCP runtime is Linux-only).
     use super::{Events, Interest, Token};
     use std::io;
     use std::net::{SocketAddr, TcpStream};

@@ -195,19 +195,6 @@ impl ShardedStoreBuilder {
         self
     }
 
-    /// Whether a TCP deployment of this store's configuration uses the
-    /// epoll reactor backend (default: on, Linux only — see
-    /// [`Config::reactor`]). The simulated cluster behind
-    /// [`build`](Self::build) models neither threads nor syscalls, so
-    /// the knob changes nothing here; it passes through so one builder
-    /// recipe can be replayed against `hts-net` servers (and lets the
-    /// simulator A/B a config byte-for-byte identical to either TCP
-    /// backend).
-    pub fn reactor(mut self, reactor: bool) -> Self {
-        self.config.reactor = reactor;
-        self
-    }
-
     /// Pipeline window of the store's session (default 1): how many
     /// operations [`begin_put`](ShardedStore::begin_put) /
     /// [`begin_get`](ShardedStore::begin_get) may keep in flight

@@ -235,7 +235,6 @@ impl Wal {
     ///
     /// Propagates the `fsync` failure.
     pub fn sync(&mut self) -> io::Result<()> {
-        hts_types::sync::blocking_syscall("wal fsync");
         let t0 = hts_metrics::now_nanos();
         self.active.sync_data()?;
         hts_metrics::histogram!("hts_wal_fsync_nanos").record(hts_metrics::now_nanos() - t0);
