@@ -9,7 +9,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use hts_baselines::fig1::run_fig1;
 use hts_bench::{latency_ring, run_abd, run_chain, run_ring, run_tob, Params};
-use hts_core::{Config, FairnessMode};
+use hts_core::Config;
 use hts_sim::Nanos;
 use std::hint::black_box;
 
@@ -87,17 +87,6 @@ fn bench_baselines(c: &mut Criterion) {
 fn bench_ablations(c: &mut Criterion) {
     let mut g = c.benchmark_group("ablations");
     g.sample_size(10);
-    g.bench_function("a1_value_carrying_writes", |b| {
-        b.iter(|| {
-            black_box(run_ring(&Params {
-                config: Config {
-                    write_carries_value: true,
-                    ..Config::default()
-                },
-                ..quick(4, 0, 4)
-            }))
-        })
-    });
     g.bench_function("a2_fast_path_reads", |b| {
         b.iter(|| {
             black_box(run_ring(&Params {
@@ -106,17 +95,6 @@ fn bench_ablations(c: &mut Criterion) {
                     ..Config::default()
                 },
                 ..quick(4, 2, 2)
-            }))
-        })
-    });
-    g.bench_function("a3_forward_first", |b| {
-        b.iter(|| {
-            black_box(run_ring(&Params {
-                config: Config {
-                    fairness: FairnessMode::ForwardFirst,
-                    ..Config::default()
-                },
-                ..quick(4, 0, 4)
             }))
         })
     });

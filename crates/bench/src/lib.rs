@@ -1,7 +1,7 @@
 //! Benchmark harness regenerating every table and figure of the paper.
 //!
 //! Each binary in `src/bin/` prints the rows/series of one paper artifact
-//! (see DESIGN.md §5 for the experiment index); the [`harness`] module
+//! (the table below maps binaries to artifacts); the [`harness`] module
 //! holds the shared machinery: simulated cluster builders for the ring
 //! protocol and every baseline, warm-up/measure windowing, and throughput
 //! (Mbit/s of client payload, as the paper reports) and latency
@@ -16,7 +16,7 @@
 //! | `fig4` | Figure 4 — read/write latency vs servers |
 //! | `analytical` | §4 — round-model latency & throughput claims |
 //! | `compare_baselines` | ring vs ABD vs chain vs TOB |
-//! | `ablations` | A1 piggyback, A2 fast-path reads, A3 fairness |
+//! | `ablations` | A2 fast-path reads (A1 and A3 are retired; EXPERIMENTS.md keeps their tables) |
 //! | `recovery` | throughput timeline across server crashes |
 //!
 //! Reduced-size versions of the same runs are registered as Criterion

@@ -556,8 +556,9 @@ const HOT_FUNCTIONS: [&str; 12] = [
 const ALLOC_TYPES: [&str; 4] = ["Vec", "VecDeque", "String", "Box"];
 /// Macros that heap-allocate.
 const ALLOC_MACROS: [&str; 2] = ["vec", "format"];
-/// Allocating methods/associated fns flagged by bare name.
-const ALLOC_CALLS: [&str; 2] = ["to_vec", "with_capacity"];
+/// Allocating methods/associated fns flagged by bare name (`collect`
+/// also with a turbofish: `collect::<Vec<_>>()`).
+const ALLOC_CALLS: [&str; 3] = ["to_vec", "with_capacity", "collect"];
 
 fn rule_l6(file: &str, toks: &[Tok<'_>], out: &mut Vec<Violation>) {
     let mut i = 0usize;
@@ -628,7 +629,11 @@ fn rule_l6(file: &str, toks: &[Tok<'_>], out: &mut Vec<Violation>) {
                 && ALLOC_TYPES.contains(&toks[k - 3].text)
                 && next.is_some_and(|n| n.is('('));
             let alloc_macro = ALLOC_MACROS.contains(&t.text) && next.is_some_and(|n| n.is('!'));
-            let alloc_call = ALLOC_CALLS.contains(&t.text) && next.is_some_and(|n| n.is('('));
+            let turbofish = next.is_some_and(|n| n.is(':'))
+                && toks.get(k + 2).is_some_and(|n| n.is(':'))
+                && toks.get(k + 3).is_some_and(|n| n.is('<'));
+            let alloc_call =
+                ALLOC_CALLS.contains(&t.text) && (next.is_some_and(|n| n.is('(')) || turbofish);
             if alloc_new || alloc_macro || alloc_call {
                 let shown = if alloc_macro {
                     format!("{}!", t.text)
@@ -779,6 +784,14 @@ mod tests {
             rules_of(src),
             vec![(Rule::L6, 2), (Rule::L6, 3), (Rule::L6, 4), (Rule::L6, 5)]
         );
+    }
+
+    #[test]
+    fn l6_flags_collect_in_hot_functions() {
+        let src = "fn next_object_frame() {\n    let ids: Vec<u32> = m.keys().collect();\n    \
+                   let n = it.collect::<Vec<_>>();\n    let f = m.iter().find_map(pull);\n}\n\
+                   fn cold_path() {\n    let ids: Vec<u32> = m.keys().collect();\n}\n";
+        assert_eq!(rules_of(src), vec![(Rule::L6, 2), (Rule::L6, 3)]);
     }
 
     #[test]

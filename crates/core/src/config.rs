@@ -1,25 +1,4 @@
-//! Protocol configuration and ablation flags.
-
-use hts_sim::Nanos;
-
-/// How a server multiplexes its own new writes with forwarded ring traffic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FairnessMode {
-    /// The paper's rule (§3 lines 53–75): per-origin forwarded-message
-    /// counters; the origin with the fewest forwarded messages goes next
-    /// (the local server competes as its own origin). Guarantees every
-    /// origin a fair share of the ring and thus write liveness.
-    #[default]
-    Fair,
-    /// Always initiate a local write when one is queued, otherwise forward
-    /// in arrival order. Under sustained local load this starves the ring —
-    /// the failure mode the paper's fairness rule exists to prevent
-    /// (ablation A3).
-    LocalFirst,
-    /// Always forward queued ring traffic before initiating local writes.
-    /// Under sustained ring load local clients starve.
-    ForwardFirst,
-}
+//! Protocol configuration.
 
 /// What a server persists, and when it reaches stable storage.
 ///
@@ -78,11 +57,6 @@ pub struct BatchConfig {
     /// coalesces small frames (tag-only write notices, small values)
     /// aggressively while letting large values travel essentially alone.
     pub max_bytes: usize,
-    /// How long the outbound writer may wait for more frames after
-    /// draining fewer than `max_frames` (real runtime only; the
-    /// simulator's event loop batches whatever is queued at TX-idle
-    /// time). Zero — the default — never delays a ready frame.
-    pub linger: Nanos,
 }
 
 impl Default for BatchConfig {
@@ -90,7 +64,6 @@ impl Default for BatchConfig {
         BatchConfig {
             max_frames: 64,
             max_bytes: 16 * 1024,
-            linger: Nanos::ZERO,
         }
     }
 }
@@ -129,21 +102,18 @@ impl BatchConfig {
         BatchConfig {
             max_frames: self.max_frames.clamp(1, hts_types::codec::MAX_BATCH_FRAMES),
             max_bytes: self.max_bytes.clamp(1, MAX_BATCH_BUDGET_BYTES),
-            linger: self.linger,
         }
     }
 }
 
 /// Protocol options. [`Config::default`] is the paper-faithful,
-/// full-performance configuration; every deviation is an explicitly
-/// documented ablation (see DESIGN.md §4).
+/// full-performance configuration. The protocol itself has no switches:
+/// commit notices are tag-only, the `nb_msg` fairness rule schedules the
+/// ring and writes orphaned by a crashed origin are adopted. The one
+/// protocol deviation, [`read_fast_path`](Config::read_fast_path), is
+/// off by default.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Config {
-    /// Carry the value in steady-state `write` ring messages instead of
-    /// resolving it from the pending cache (ablation A1). Doubles ring
-    /// bandwidth per write; the paper's measured 81 Mbit/s write throughput
-    /// on 100 Mbit/s links is impossible with this on.
-    pub write_carries_value: bool,
     /// Let a read return immediately when the locally stored tag already
     /// dominates every pending pre-write (ablation A2). The paper always
     /// waits for the next `write` message. The TCP runtime additionally
@@ -153,22 +123,6 @@ pub struct Config {
     /// the protocol core (or a hop to the object's lane); off, every
     /// read goes through the core.
     pub read_fast_path: bool,
-    /// Scheduling of local writes vs. forwarded traffic.
-    pub fairness: FairnessMode,
-    /// Reply to an unblocked read with the value of the unblocking `write`
-    /// *message* — the conference pseudo-code's literal line 82 — instead
-    /// of the (≥) locally stored value. Exists to demonstrate the
-    /// read-inversion anomaly this allows when concurrent writes overtake
-    /// each other on the ring; see DESIGN.md §4.9. **Unsafe**; tests only.
-    pub unblock_replies_message_value: bool,
-    /// Complete writes orphaned by the crash of their originating server
-    /// (surrogate-origin adoption, DESIGN.md §4.10). Without it, readers
-    /// can block forever on a pre-write whose `write` phase died with its
-    /// origin.
-    pub adopt_orphans: bool,
-    /// How long a client waits for a reply before re-issuing the request
-    /// to the next server.
-    pub client_timeout: Nanos,
     /// Persistence of committed writes (crash-stop vs crash-recovery).
     pub durability: Durability,
     /// Ring frame coalescing (see [`BatchConfig`]). The default batches
@@ -192,23 +146,11 @@ pub struct Config {
 impl Default for Config {
     fn default() -> Self {
         Config {
-            write_carries_value: false,
             read_fast_path: false,
-            fairness: FairnessMode::Fair,
-            unblock_replies_message_value: false,
-            adopt_orphans: true,
-            client_timeout: Nanos::from_millis(250),
             durability: Durability::Volatile,
             batching: BatchConfig::default(),
             lanes: 1,
         }
-    }
-}
-
-impl Config {
-    /// The paper-faithful default configuration.
-    pub fn paper() -> Self {
-        Config::default()
     }
 }
 
@@ -219,15 +161,11 @@ mod tests {
     #[test]
     fn default_is_paper_faithful() {
         let c = Config::default();
-        assert!(!c.write_carries_value);
         assert!(!c.read_fast_path);
-        assert_eq!(c.fairness, FairnessMode::Fair);
-        assert!(!c.unblock_replies_message_value);
-        assert!(c.adopt_orphans);
         assert_eq!(c.durability, Durability::Volatile);
         assert!(!c.durability.is_persistent());
+        assert_eq!(c.batching, BatchConfig::default());
         assert_eq!(c.lanes, 1);
-        assert_eq!(c, Config::paper());
     }
 
     #[test]
@@ -241,7 +179,7 @@ mod tests {
     fn batch_config_constructors() {
         let d = BatchConfig::default();
         assert_eq!(d.max_frames, 64);
-        assert_eq!(d.linger, Nanos::ZERO);
+        assert_eq!(d.max_bytes, 16 * 1024);
 
         let un = BatchConfig::unbatched();
         assert_eq!(un.max_frames, 1);
@@ -257,17 +195,14 @@ mod tests {
         let hostile = BatchConfig {
             max_frames: usize::MAX,
             max_bytes: usize::MAX,
-            linger: Nanos::from_micros(5),
         }
         .normalized();
         assert_eq!(hostile.max_frames, hts_types::codec::MAX_BATCH_FRAMES);
         assert_eq!(hostile.max_bytes, 16 * 1024 * 1024);
-        assert_eq!(hostile.linger, Nanos::from_micros(5));
 
         let zeroed = BatchConfig {
             max_frames: 0,
             max_bytes: 0,
-            linger: Nanos::ZERO,
         }
         .normalized();
         assert_eq!(zeroed.max_frames, 1);

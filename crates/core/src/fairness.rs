@@ -10,15 +10,13 @@
 //!
 //! This guarantees every origin a `1/n` share of every ring link, which is
 //! what bounds write latency (`l_max` in §4.2) and makes the write
-//! throughput claim (1 per round) hold under saturation. The
-//! [`FairnessMode::LocalFirst`] and [`FairnessMode::ForwardFirst`]
-//! ablations demonstrate the starvation each naive policy causes.
+//! throughput claim (1 per round) hold under saturation. Local-first
+//! scheduling starves the ring and forward-first starves local clients;
+//! EXPERIMENTS.md keeps the measured cost of both.
 
 use std::collections::{BTreeMap, VecDeque};
 
 use hts_types::{PreWrite, ServerId, Value};
-
-use crate::FairnessMode;
 
 /// What the scheduler picked for the next ring transmission slot.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -32,29 +30,14 @@ pub enum Selection {
 /// Per-origin forward queues plus the paper's `nb_msg` counters.
 #[derive(Debug, Clone, Default)]
 pub struct ForwardScheduler {
-    queues: BTreeMap<ServerId, VecDeque<(u64, PreWrite)>>,
+    queues: BTreeMap<ServerId, VecDeque<PreWrite>>,
     nb_msg: BTreeMap<ServerId, u64>,
-    arrival_seq: u64,
-    mode: FairnessMode,
 }
 
 impl ForwardScheduler {
-    /// Creates an empty scheduler with the given policy.
-    pub fn new(mode: FairnessMode) -> Self {
-        ForwardScheduler {
-            mode,
-            ..ForwardScheduler::default()
-        }
-    }
-
     /// Queues a received pre-write for forwarding (per-origin FIFO).
     pub fn enqueue(&mut self, pw: PreWrite) {
-        self.arrival_seq += 1;
-        let seq = self.arrival_seq;
-        self.queues
-            .entry(pw.tag.origin)
-            .or_default()
-            .push_back((seq, pw));
+        self.queues.entry(pw.tag.origin).or_default().push_back(pw);
     }
 
     /// Re-queues pre-writes at the **front** of their origin's queue,
@@ -64,8 +47,7 @@ impl ForwardScheduler {
     /// discard the fresher entries.
     pub fn enqueue_front(&mut self, pre_writes: Vec<PreWrite>) {
         for pw in pre_writes.into_iter().rev() {
-            let queue = self.queues.entry(pw.tag.origin).or_default();
-            queue.push_front((0, pw)); // seq 0: logically "oldest"
+            self.queues.entry(pw.tag.origin).or_default().push_front(pw);
         }
     }
 
@@ -78,7 +60,7 @@ impl ForwardScheduler {
     /// resync backlog a rejoin announcement must stay behind (FIFO links
     /// make the announcement's arrival prove the backlog arrived first).
     pub fn has_recovery_queued(&self) -> bool {
-        self.queues.values().flatten().any(|(_, pw)| pw.recovery)
+        self.queues.values().flatten().any(|pw| pw.recovery)
     }
 
     /// Whether a recovery copy of exactly `tag` still waits to be
@@ -89,7 +71,7 @@ impl ForwardScheduler {
     pub fn has_recovery_for(&self, tag: hts_types::Tag) -> bool {
         self.queues
             .get(&tag.origin)
-            .is_some_and(|q| q.iter().any(|(_, pw)| pw.recovery && pw.tag == tag))
+            .is_some_and(|q| q.iter().any(|pw| pw.recovery && pw.tag == tag))
     }
 
     /// The value of a queued-but-not-yet-forwarded pre-write for `tag`,
@@ -102,8 +84,8 @@ impl ForwardScheduler {
         self.queues
             .get(&tag.origin)?
             .iter()
-            .find(|(_, pw)| pw.tag == tag)
-            .map(|(_, pw)| &pw.value)
+            .find(|pw| pw.tag == tag)
+            .map(|pw| &pw.value)
     }
 
     /// Total queued pre-writes.
@@ -117,7 +99,7 @@ impl ForwardScheduler {
     pub fn drain_origin(&mut self, origin: ServerId) -> Vec<PreWrite> {
         self.queues
             .remove(&origin)
-            .map(|q| q.into_iter().map(|(_, pw)| pw).collect())
+            .map(Vec::from)
             .unwrap_or_default()
     }
 
@@ -136,26 +118,6 @@ impl ForwardScheduler {
     /// triggers via [`record_initiation`](Self::record_initiation) once the
     /// write is actually created.
     pub fn select(&mut self, me: ServerId, want_local: bool) -> Option<Selection> {
-        match self.mode {
-            FairnessMode::Fair => self.select_fair(me, want_local),
-            FairnessMode::LocalFirst => {
-                if want_local {
-                    Some(Selection::InitiateLocal)
-                } else {
-                    self.pop_oldest().map(Selection::Forward)
-                }
-            }
-            FairnessMode::ForwardFirst => {
-                self.pop_oldest().map(Selection::Forward).or(if want_local {
-                    Some(Selection::InitiateLocal)
-                } else {
-                    None
-                })
-            }
-        }
-    }
-
-    fn select_fair(&mut self, me: ServerId, want_local: bool) -> Option<Selection> {
         if !self.has_queued() {
             // Paper line 55: reset the counters whenever the forward queue
             // drains; fairness is relative to the current busy period.
@@ -187,21 +149,9 @@ impl ForwardScheduler {
         }
         // `chosen` came from a non-empty queue above, so the lookups
         // cannot miss; `?` still beats a panic if that ever drifts.
-        let (_, pw) = self.queues.get_mut(&chosen)?.pop_front()?;
+        let pw = self.queues.get_mut(&chosen)?.pop_front()?;
         *self.nb_msg.entry(chosen).or_insert(0) += 1;
         Some(Selection::Forward(pw))
-    }
-
-    /// Pops the globally oldest queued pre-write (arrival order).
-    fn pop_oldest(&mut self) -> Option<PreWrite> {
-        let origin = self
-            .queues
-            .iter()
-            .filter_map(|(origin, q)| q.front().map(|(arrival, _)| (*arrival, *origin)))
-            .min()
-            .map(|(_, o)| o)?;
-        let (_, pw) = self.queues.get_mut(&origin)?.pop_front()?;
-        Some(pw)
     }
 }
 
@@ -227,14 +177,14 @@ mod tests {
 
     #[test]
     fn empty_scheduler_offers_local_only_when_wanted() {
-        let mut s = ForwardScheduler::new(FairnessMode::Fair);
+        let mut s = ForwardScheduler::default();
         assert_eq!(s.select(ServerId(0), false), None);
         assert_eq!(s.select(ServerId(0), true), Some(Selection::InitiateLocal));
     }
 
     #[test]
     fn fair_mode_alternates_between_origins() {
-        let mut s = ForwardScheduler::new(FairnessMode::Fair);
+        let mut s = ForwardScheduler::default();
         for ts in 1..=3 {
             s.enqueue(pw(ts, 1));
             s.enqueue(pw(ts, 2));
@@ -258,7 +208,7 @@ mod tests {
 
     #[test]
     fn fair_mode_gives_local_its_share() {
-        let mut s = ForwardScheduler::new(FairnessMode::Fair);
+        let mut s = ForwardScheduler::default();
         for ts in 1..=4 {
             s.enqueue(pw(ts, 1));
         }
@@ -277,7 +227,7 @@ mod tests {
 
     #[test]
     fn per_origin_fifo_is_preserved() {
-        let mut s = ForwardScheduler::new(FairnessMode::Fair);
+        let mut s = ForwardScheduler::default();
         s.enqueue(pw(1, 1));
         s.enqueue(pw(2, 1));
         s.enqueue(pw(3, 1));
@@ -292,7 +242,7 @@ mod tests {
 
     #[test]
     fn counters_reset_when_queues_drain() {
-        let mut s = ForwardScheduler::new(FairnessMode::Fair);
+        let mut s = ForwardScheduler::default();
         s.enqueue(pw(1, 1));
         let _ = s.select(ServerId(0), false); // nb_msg[1] = 1
         assert!(!s.has_queued());
@@ -308,34 +258,8 @@ mod tests {
     }
 
     #[test]
-    fn local_first_starves_the_ring() {
-        let mut s = ForwardScheduler::new(FairnessMode::LocalFirst);
-        s.enqueue(pw(1, 1));
-        for _ in 0..10 {
-            assert_eq!(s.select(ServerId(0), true), Some(Selection::InitiateLocal));
-        }
-        assert_eq!(s.queued_len(), 1); // never forwarded
-    }
-
-    #[test]
-    fn forward_first_starves_local_writes() {
-        let mut s = ForwardScheduler::new(FairnessMode::ForwardFirst);
-        for ts in 1..=10 {
-            s.enqueue(pw(ts, 1));
-        }
-        for _ in 0..10 {
-            assert!(matches!(
-                s.select(ServerId(0), true),
-                Some(Selection::Forward(_))
-            ));
-        }
-        // Only once the ring is empty does the local write go.
-        assert_eq!(s.select(ServerId(0), true), Some(Selection::InitiateLocal));
-    }
-
-    #[test]
     fn enqueue_front_precedes_queued_traffic_of_same_origin() {
-        let mut s = ForwardScheduler::new(FairnessMode::Fair);
+        let mut s = ForwardScheduler::default();
         s.enqueue(pw(5, 1));
         s.enqueue_front(vec![pw(2, 1), pw(3, 1)]);
         let tags: Vec<u64> = (0..3)
@@ -349,7 +273,7 @@ mod tests {
 
     #[test]
     fn drain_origin_removes_only_that_origin() {
-        let mut s = ForwardScheduler::new(FairnessMode::Fair);
+        let mut s = ForwardScheduler::default();
         s.enqueue(pw(1, 1));
         s.enqueue(pw(2, 2));
         s.enqueue(pw(3, 1));

@@ -26,18 +26,18 @@
 //!
 //! # Crate layout
 //!
-//! * [`ServerCore`] / [`ClientCore`] — the protocol state machines
-//!   (sans-io: feed events, collect [`Action`]s / messages).
-//! * [`SessionCore`] — the pipelined client session: a **window** of
-//!   concurrent in-flight operations over one channel, with per-request
-//!   retry state and out-of-order completions ([`ClientCore`] is its
-//!   window-of-1 wrapper).
+//! * [`ServerCore`] — the server protocol state machine (sans-io: feed
+//!   events, collect [`Action`]s and ring frames).
+//! * [`SessionCore`] — the client: a **window** of concurrent in-flight
+//!   operations over one channel, with per-request retry state and
+//!   out-of-order [`Completion`]s. A window of 1 is the paper's client.
 //! * [`MultiObjectServer`] — many registers multiplexed over one ring.
 //! * [`SimServer`] / [`SimClient`] — adapters for the `hts-sim` packet
 //!   simulator (used by every benchmark).
 //! * [`RoundServer`] / [`RoundClient`] — adapters for the paper's
 //!   synchronous round model (validates the §4 analytical claims).
-//! * [`Config`] — paper-faithful defaults plus documented ablations.
+//! * [`Config`] — the paper-faithful defaults, plus durability, batching,
+//!   lanes and the opt-in read fast path.
 //!
 //! # Examples
 //!
@@ -85,7 +85,6 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-mod client;
 mod config;
 mod fairness;
 mod lanes;
@@ -99,8 +98,7 @@ mod session;
 mod sim_adapter;
 mod snapshot;
 
-pub use client::{ClientCore, Completion};
-pub use config::{BatchConfig, Config, Durability, FairnessMode};
+pub use config::{BatchConfig, Config, Durability};
 pub use fairness::{ForwardScheduler, Selection};
 pub use lanes::LaneMap;
 pub use multi::MultiObjectServer;
@@ -108,6 +106,6 @@ pub use pending::PendingSet;
 pub use ring::RingView;
 pub use round_adapter::{RoundClient, RoundClientStats, RoundServer};
 pub use server::{Action, ServerCore, ServerStats};
-pub use session::{SessionCore, REPROBE_PERIOD};
+pub use session::{Completion, SessionCore, REPROBE_PERIOD};
 pub use sim_adapter::{unique_value, ClientStats, OpMix, SimClient, SimServer, WorkloadConfig};
 pub use snapshot::{ReadCell, ReadCellRegistry};

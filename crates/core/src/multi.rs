@@ -8,11 +8,12 @@
 //! *within* the object).
 
 use std::collections::{BTreeMap, VecDeque};
+use std::ops::Bound::{Excluded, Unbounded};
 use std::sync::Arc;
 
 use hts_types::{ClientId, ObjectId, Rejoin, RequestId, RingFrame, ServerId, Tag, Value};
 
-use crate::{Action, Config, ReadCellRegistry, ServerCore};
+use crate::{Action, Config, ReadCellRegistry, RingView, ServerCore};
 
 /// A ring server hosting many independent atomic registers.
 ///
@@ -29,13 +30,13 @@ use crate::{Action, Config, ReadCellRegistry, ServerCore};
 /// ```
 #[derive(Debug, Clone)]
 pub struct MultiObjectServer {
-    me: ServerId,
-    n: u16,
     config: Config,
     objects: BTreeMap<ObjectId, ServerCore>,
     /// Round-robin cursor over objects for ring slots.
     cursor: Option<ObjectId>,
-    crashed: Vec<ServerId>,
+    /// The ring view every core shares: crash reports and rejoins fan
+    /// out to all cores, and a core created later replays its crashes.
+    ring: RingView,
     /// Rejoin announcements awaiting a ring slot (ours at restart,
     /// others' when forwarding). At most one rides per frame, and none
     /// leaves while recovery retransmissions are still queued — FIFO
@@ -56,14 +57,16 @@ pub struct MultiObjectServer {
 impl MultiObjectServer {
     /// Creates server `me` of a ring of `n`, initially hosting no objects
     /// (they are created on first use).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `me` is outside `0..n` (see [`RingView::new`]).
     pub fn new(me: ServerId, n: u16, config: Config) -> Self {
         MultiObjectServer {
-            me,
-            n,
             config,
             objects: BTreeMap::new(),
             cursor: None,
-            crashed: Vec::new(),
+            ring: RingView::new(me, n),
             announce: VecDeque::new(),
             syncing: false,
             sync_begun_at: 0,
@@ -84,7 +87,7 @@ impl MultiObjectServer {
 
     /// This server's id.
     pub fn me(&self) -> ServerId {
-        self.me
+        self.ring.me()
     }
 
     /// The number of objects currently hosted.
@@ -99,36 +102,27 @@ impl MultiObjectServer {
 
     /// The current ring successor.
     pub fn successor(&self) -> Option<ServerId> {
-        // All cores share the same view; compute from any, else fresh.
-        match self.objects.values().next() {
-            Some(core) => core.successor(),
-            None => {
-                let mut core =
-                    ServerCore::new(self.me, self.n, ObjectId::SINGLE, self.config.clone());
-                for s in &self.crashed {
-                    let _ = core.on_server_crashed(*s);
-                }
-                core.successor()
-            }
-        }
+        self.ring.successor()
     }
 
     fn core_mut(&mut self, object: ObjectId) -> &mut ServerCore {
-        let me = self.me;
-        let n = self.n;
-        let config = self.config.clone();
-        let crashed = self.crashed.clone();
-        let syncing = self.syncing;
-        let cells = self.cells.clone();
-        self.objects.entry(object).or_insert_with(|| {
-            let mut core = ServerCore::new(me, n, object, config);
+        let Self {
+            config,
+            objects,
+            ring,
+            syncing,
+            cells,
+            ..
+        } = self;
+        objects.entry(object).or_insert_with(|| {
+            let mut core = ServerCore::new(ring.me(), ring.n(), object, config.clone());
             // Late-created objects must share the ring view.
-            for s in crashed {
+            for s in (0..ring.n()).map(ServerId).filter(|s| !ring.is_alive(*s)) {
                 let _ = core.on_server_crashed(s);
             }
             // ...and the resync gate: an object this server has never
             // seen may still have history elsewhere in the ring.
-            if syncing {
+            if *syncing {
                 core.begin_sync();
             }
             // ...and publish into the fast-path cell from birth.
@@ -181,8 +175,8 @@ impl MultiObjectServer {
 
     /// Fans a crash report to every object.
     pub fn on_server_crashed(&mut self, s: ServerId) -> Vec<Action> {
-        if !self.crashed.contains(&s) {
-            self.crashed.push(s);
+        if s != self.me() {
+            self.ring.mark_crashed(s);
         }
         let mut actions = Vec::new();
         for core in self.objects.values_mut() {
@@ -193,7 +187,7 @@ impl MultiObjectServer {
         // every peer's ring view.
         self.announce.retain(|r| r.server != s);
         if self.syncing {
-            if self.alive_count() <= 1 {
+            if self.ring.alive_count() <= 1 {
                 // Lone survivor mid-resync: nobody to sync from *now*,
                 // and our restored log may miss acknowledged writes that
                 // live in the crashed peers' logs. Stay gated (reads and
@@ -202,10 +196,10 @@ impl MultiObjectServer {
                 // resync then completes linearizably. Announcements are
                 // pointless without a successor.
                 self.announce.clear();
-            } else if !self.announce.iter().any(|r| r.server == self.me) {
+            } else if !self.announce.iter().any(|r| r.server == self.me()) {
                 // Our in-flight announcement may have died with the
                 // crashed server; re-announce over the spliced ring.
-                self.announce.push_back(Rejoin::announce(self.me));
+                self.announce.push_back(Rejoin::announce(self.me()));
             }
         }
         actions
@@ -220,7 +214,7 @@ impl MultiObjectServer {
     /// server was down. A single-server ring has nobody to sync from and
     /// skips straight to serving.
     pub fn begin_rejoin(&mut self) {
-        if self.n <= 1 {
+        if self.ring.n() <= 1 {
             return;
         }
         self.syncing = true;
@@ -228,7 +222,7 @@ impl MultiObjectServer {
         for core in self.objects.values_mut() {
             core.begin_sync();
         }
-        self.announce.push_back(Rejoin::announce(self.me));
+        self.announce.push_back(Rejoin::announce(self.me()));
     }
 
     /// Whether this server is still resyncing after a restart.
@@ -251,7 +245,7 @@ impl MultiObjectServer {
     /// predecessor re-sends its state) and forwarded with the flags
     /// updated.
     pub fn on_rejoin_announcement(&mut self, r: Rejoin) -> Vec<Action> {
-        if r.server == self.me {
+        if r.server == self.me() {
             if !self.syncing {
                 return Vec::new(); // duplicate announcement return
             }
@@ -261,7 +255,7 @@ impl MultiObjectServer {
                 // ring a non-syncing server holds the truth. Go again:
                 // by the time the retry circulates, the predecessor has
                 // had its own stream FIFO-ahead of our announcement.
-                self.announce.push_back(Rejoin::announce(self.me));
+                self.announce.push_back(Rejoin::announce(self.me()));
                 return Vec::new();
             }
             // Clean certificate — or a whole-cluster cold start, where
@@ -277,15 +271,15 @@ impl MultiObjectServer {
             }
             return actions;
         }
-        self.crashed.retain(|c| *c != r.server);
+        self.ring.mark_rejoined(r.server);
         for core in self.objects.values_mut() {
             core.on_server_rejoined(r.server);
         }
-        if self.syncing && !self.announce.iter().any(|a| a.server == self.me) {
+        if self.syncing && !self.announce.iter().any(|a| a.server == self.me()) {
             // A peer coming back ends a lone-survivor wait (and generally
             // gives our own announcement a ring to circulate on): make
             // sure one is in flight so our resync can complete.
-            self.announce.push_back(Rejoin::announce(self.me));
+            self.announce.push_back(Rejoin::announce(self.me()));
         }
         let serving = self.successor() == Some(r.server);
         self.announce.push_back(Rejoin {
@@ -334,31 +328,18 @@ impl MultiObjectServer {
     }
 
     fn next_object_frame(&mut self) -> Option<RingFrame> {
-        if self.objects.is_empty() {
-            return None;
-        }
         // Start after the cursor, wrap once around all objects.
-        let ids: Vec<ObjectId> = self.objects.keys().copied().collect();
-        let start = match self.cursor {
-            Some(c) => ids.iter().position(|&o| o > c).unwrap_or(0),
-            None => 0,
-        };
-        for k in 0..ids.len() {
-            let id = ids[(start + k) % ids.len()];
-            let core = self.objects.get_mut(&id)?; // ids came from the map
-            if let Some(frame) = core.next_frame() {
-                self.cursor = Some(id);
-                return Some(frame);
-            }
-        }
-        None
-    }
-
-    fn alive_count(&self) -> usize {
-        match self.objects.values().next() {
-            Some(core) => core.ring().alive_count(),
-            None => usize::from(self.n) - self.crashed.len(),
-        }
+        let pull = |(id, core): (&ObjectId, &mut ServerCore)| core.next_frame().map(|f| (*id, f));
+        let (id, frame) = match self.cursor {
+            Some(c) => self
+                .objects
+                .range_mut((Excluded(c), Unbounded))
+                .find_map(pull)
+                .or_else(|| self.objects.range_mut(..=c).find_map(pull)),
+            None => self.objects.iter_mut().find_map(pull),
+        }?;
+        self.cursor = Some(id);
+        Some(frame)
     }
 
     /// Exports every object's committed `(tag, value)` pair — the state

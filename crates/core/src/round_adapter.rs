@@ -15,7 +15,7 @@ use hts_sim::packet::NetworkId;
 use hts_sim::round::{RoundCtx, RoundProcess};
 use hts_types::{ClientId, Message, NodeId, ObjectId, ServerId, Value};
 
-use crate::{Action, ClientCore, Config, ServerCore};
+use crate::{Action, Config, ServerCore, SessionCore};
 
 /// A ring server in the round model.
 pub struct RoundServer {
@@ -150,7 +150,7 @@ pub struct RoundClientStats {
 
 /// A closed-loop round-model client issuing only reads or only writes.
 pub struct RoundClient {
-    core: ClientCore,
+    core: SessionCore,
     client_net: NetworkId,
     reads: bool,
     op_limit: Option<u64>,
@@ -173,7 +173,7 @@ impl RoundClient {
         let stats = Rc::new(RefCell::new(RoundClientStats::default()));
         (
             RoundClient {
-                core: ClientCore::new(id, ObjectId::SINGLE, n, preferred),
+                core: SessionCore::new(id, ObjectId::SINGLE, n, preferred, 1),
                 client_net,
                 reads,
                 op_limit,
@@ -198,7 +198,7 @@ impl RoundProcess<Message> for RoundClient {
             }
         }
         let completed = self.stats.borrow().completed;
-        if self.core.is_busy() || self.op_limit.is_some_and(|l| completed >= l) {
+        if !self.core.has_capacity() || self.op_limit.is_some_and(|l| completed >= l) {
             return;
         }
         let (_, server, msg) = if self.reads {

@@ -18,7 +18,7 @@
 //! write notice at or above that tag arrives (this is what prevents the
 //! read-inversion anomaly). Failure handling splices the ring, retransmits
 //! in-flight state, and *adopts* writes orphaned by their coordinator's
-//! crash. See DESIGN.md §4 for the resolved pseudo-code ambiguities.
+//! crash.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
@@ -163,7 +163,7 @@ impl ServerCore {
         ServerCore {
             object,
             ring: RingView::new(me, n),
-            sched: ForwardScheduler::new(config.fairness),
+            sched: ForwardScheduler::default(),
             config,
             stored_tag: Tag::ZERO,
             stored_value: Value::bottom(),
@@ -511,10 +511,13 @@ impl ServerCore {
             self.sched.enqueue_front(resend);
         }
 
-        if self.config.adopt_orphans && self.ring.is_adopter_of(s) {
+        if self.ring.is_adopter_of(s) {
             // Writes initiated by the dead server that never committed
             // would block readers forever; as its first alive successor we
-            // complete them under their original tags (DESIGN.md §4.10).
+            // complete them under their original tags. Exactly one server
+            // (the dead origin's first alive successor) adopts, so each
+            // orphan is re-circulated once and commits under the tag
+            // readers already block on.
             let orphans = self.pending.with_origin(s);
             let mut resend = Vec::new();
             for (tag, value) in orphans {
@@ -693,7 +696,7 @@ impl ServerCore {
                 tag,
                 value: Some(pw.value),
             });
-            self.check_waiting_reads(tag, None, actions);
+            self.check_waiting_reads(tag, actions);
             return;
         }
 
@@ -718,9 +721,7 @@ impl ServerCore {
                     );
                     self.apply(tag, pw.value.clone());
                     self.pending.remove(tag);
-                    let value = (self.config.write_carries_value
-                        || self.sched.has_recovery_for(tag))
-                    .then_some(pw.value);
+                    let value = self.sched.has_recovery_for(tag).then_some(pw.value);
                     self.notice_queue.push_back(WriteNotice { tag, value });
                 }
                 Some(_) => self.stats.duplicates_dropped += 1,
@@ -741,20 +742,17 @@ impl ServerCore {
                         tag,
                         value: Some(pw.value),
                     });
-                    self.check_waiting_reads(tag, None, actions);
+                    self.check_waiting_reads(tag, actions);
                 }
             }
             return;
         }
 
         // Foreign pre-write: suppress duplicates unless it is a recovery
-        // re-circulation (which must pass through servers that saw it to
+        // re-circulation, which must pass through servers that saw it to
         // reach whoever consumes it — the alive origin, or the adopter of
-        // a dead one). A recovery frame nobody will consume must fall back
-        // to normal suppression or it would circle the ring forever.
-        let consumable = self.ring.is_alive(tag.origin) || self.config.adopt_orphans;
-        let bypass = pw.recovery && consumable;
-        if !bypass && self.prewrite_seen_ts(tag.origin) >= tag.ts {
+        // a dead one.
+        if !pw.recovery && self.prewrite_seen_ts(tag.origin) >= tag.ts {
             self.stats.duplicates_dropped += 1;
             return;
         }
@@ -763,7 +761,7 @@ impl ServerCore {
         // If the origin is already known to be dead and we are its
         // designated adopter, claim the orphan now; its forwarding below
         // doubles as the adoption circulation.
-        if self.config.adopt_orphans && self.ring.is_adopter_of(tag.origin) {
+        if self.ring.is_adopter_of(tag.origin) {
             self.adopted.insert(tag, pw.value.clone());
             self.stats.adoptions += 1;
         }
@@ -822,8 +820,9 @@ impl ServerCore {
             self.note_write_seen(tag);
         }
 
-        // Subsumption (DESIGN.md §4.2): a committed tag proves every lower
-        // pre-write can never be read again.
+        // Subsumption: once `tag` commits, no read can return a lower
+        // pre-write any more (its value is ordered before `tag`'s), so no
+        // read needs to wait for it.
         self.pending.remove_le(tag);
         self.adopted.retain(|t, _| *t > tag);
 
@@ -860,18 +859,18 @@ impl ServerCore {
             }
         }
 
-        self.check_waiting_reads(tag, resolved.as_ref(), actions);
+        self.check_waiting_reads(tag, actions);
 
         if !mine {
             // Forward the commit around the ring (tag-only in steady
-            // state; keep the explicit value in recovery/ablation
-            // frames). One extra case must carry the value: while a
-            // recovery copy of this tag still waits in our forward
-            // queues, the successor is a resyncing rejoiner that has
-            // never seen the pre-write — fairness across origins can
-            // let this notice overtake the copy, and a tag-only notice
-            // would then commit a value the rejoiner cannot resolve.
-            let value = if self.config.write_carries_value || self.sched.has_recovery_for(tag) {
+            // state; keep the explicit value in recovery frames). One
+            // extra case must carry the value: while a recovery copy of
+            // this tag still waits in our forward queues, the successor
+            // is a resyncing rejoiner that has never seen the pre-write —
+            // fairness across origins can let this notice overtake the
+            // copy, and a tag-only notice would then commit a value the
+            // rejoiner cannot resolve.
+            let value = if self.sched.has_recovery_for(tag) {
                 resolved
             } else {
                 notice.value
@@ -881,28 +880,17 @@ impl ServerCore {
     }
 
     /// Unblocks reads whose target the committed `tag` satisfies (paper
-    /// line 81). Replies carry the *stored* value — see DESIGN.md §4.9 for
-    /// why the pseudo-code's literal reply (the message value) admits a
-    /// read inversion when ring writes overtake each other; that behaviour
-    /// is available as the `unblock_replies_message_value` ablation.
-    fn check_waiting_reads(
-        &mut self,
-        tag: Tag,
-        message_value: Option<&Value>,
-        actions: &mut Vec<Action>,
-    ) {
+    /// line 81). Replies carry the *stored* value, not the value of the
+    /// unblocking write message as the pseudo-code's line 82 literally
+    /// says: writes can overtake each other on the ring, so a notice for
+    /// a lower tag may arrive after a higher tag was stored here, and
+    /// replying with the message value would then return an older value
+    /// than a read that already completed (a read inversion).
+    fn check_waiting_reads(&mut self, tag: Tag, actions: &mut Vec<Action>) {
         if self.waiting_reads.is_empty() {
             return;
         }
-        let literal = self.config.unblock_replies_message_value;
-        let (reply_value, reply_tag) = if literal {
-            match message_value {
-                Some(v) => (v.clone(), tag),
-                None => (self.stored_value.clone(), self.stored_tag),
-            }
-        } else {
-            (self.stored_value.clone(), self.stored_tag)
-        };
+        let (reply_value, reply_tag) = (self.stored_value.clone(), self.stored_tag);
         let mut still_waiting = Vec::with_capacity(self.waiting_reads.len());
         let object = self.object;
         for wr in self.waiting_reads.drain(..) {

@@ -5,8 +5,9 @@
 //! logical channel: every request keeps its own retry state, replies
 //! complete out of order (keyed by [`RequestId`]), and the alive-map and
 //! server-routing policy are shared across the window. A window of 1 is
-//! exactly the paper's client — [`ClientCore`](crate::ClientCore) is that
-//! thin wrapper — while larger windows turn one transport connection into
+//! exactly the paper's client: it sends each request to one server and
+//! waits, and on a timeout re-sends the *same request id* to the next
+//! server (paper §3). Larger windows turn one transport connection into
 //! an open-loop request pipeline (the load model the throughput analyses
 //! of CAS/SODA-style algorithms assume).
 //!
@@ -411,6 +412,75 @@ mod tests {
             object: ObjectId::SINGLE,
             request,
         }
+    }
+
+    #[test]
+    fn window_one_write_round_trip() {
+        let mut s = session(1);
+        let (request, server, msg) = s.begin_write(Value::from_u64(1));
+        assert_eq!(server, ServerId(1));
+        assert!(matches!(msg, Message::WriteReq { .. }));
+        assert!(!s.has_capacity());
+        let done = s.on_reply(&write_ack(request));
+        assert_eq!(
+            done,
+            Some(Completion {
+                request,
+                value: None
+            })
+        );
+        assert!(s.has_capacity());
+    }
+
+    #[test]
+    fn window_one_read_round_trip_returns_value() {
+        let mut s = session(1);
+        let (request, _server, _msg) = s.begin_read();
+        let done = s.on_reply(&Message::ReadAck {
+            object: ObjectId::SINGLE,
+            request,
+            value: Value::from_u64(9),
+        });
+        assert_eq!(done.unwrap().value, Some(Value::from_u64(9)));
+    }
+
+    #[test]
+    fn window_one_ignores_stale_and_foreign_replies() {
+        let mut s = session(1);
+        let (request, _, _) = s.begin_read();
+        let read_ack = |request| Message::ReadAck {
+            object: ObjectId::SINGLE,
+            request,
+            value: Value::bottom(),
+        };
+        // A request id this session never issued.
+        assert!(s.on_reply(&read_ack(RequestId(999))).is_none());
+        // The real reply still works, exactly once.
+        assert!(s.on_reply(&read_ack(request)).is_some());
+        assert!(s.on_reply(&read_ack(request)).is_none());
+    }
+
+    #[test]
+    fn window_one_timeout_walks_the_ring() {
+        let mut s = session(1);
+        let (request, first, _) = s.begin_write(Value::from_u64(1));
+        assert_eq!(first, ServerId(1));
+        let (second, msg) = s.on_timeout(request).unwrap();
+        assert_eq!(second, ServerId(2));
+        assert!(matches!(msg, Message::WriteReq { .. }));
+        let (third, _) = s.on_timeout(request).unwrap();
+        assert_eq!(third, ServerId(0));
+        // Stale timer after completion: ignored.
+        s.on_reply(&write_ack(request));
+        assert!(s.on_timeout(request).is_none());
+    }
+
+    #[test]
+    fn window_one_down_report_for_other_server_does_not_resend() {
+        let mut s = session(1);
+        let (_, first, _) = s.begin_read();
+        assert_eq!(first, ServerId(1));
+        assert!(s.on_server_down(ServerId(0)).is_empty());
     }
 
     #[test]

@@ -307,26 +307,6 @@ fn piggyback_bundles_notice_with_prewrite() {
 }
 
 #[test]
-fn write_carries_value_ablation_sends_values_twice() {
-    let config = Config {
-        write_carries_value: true,
-        ..Config::default()
-    };
-    let mut d = Driver::new(2, config);
-    d.write(0, 0, 1, val(5));
-    d.pump_sends(); // pre_write out
-    d.deliver_one(); // s1 forwards
-    d.pump_sends();
-    d.deliver_one(); // back at s0 -> notice queued
-    let frame = d.core_mut(0).next_frame().expect("notice frame");
-    assert_eq!(
-        frame.write.expect("write notice").value,
-        Some(val(5)),
-        "ablation A1 carries the value in the commit"
-    );
-}
-
-#[test]
 fn read_fast_path_skips_blocking_when_stored_dominates() {
     let config = Config {
         read_fast_path: true,
@@ -409,49 +389,71 @@ fn origin_crash_orphans_are_adopted_and_unblock_readers() {
 }
 
 #[test]
-fn without_adoption_orphaned_readers_stay_blocked() {
-    let config = Config {
-        adopt_orphans: false,
-        ..Config::default()
-    };
-    let mut d = Driver::new(3, config);
-    d.write(0, 0, 1, val(55));
-    for _ in 0..3 {
+fn orphan_overtaken_by_later_write_unblocks_with_the_newer_value() {
+    let mut d = Driver::new(3, Config::default());
+    // s2's write (1,s2) is forwarded by s0 and s1, then s2 dies before
+    // its pre-write returns: an orphan, pending at s0 and s1.
+    d.write(2, 2, 1, val(55));
+    for _ in 0..2 {
         d.pump_sends();
         d.deliver_one();
     }
-    d.read(2, 9, 100);
-    d.crash(0);
+    d.pump_sends();
+    let orphan = Tag::new(1, ServerId(2));
+    assert!(d.core(0).pending().contains(orphan));
+    assert!(d.core(1).pending().contains(orphan));
+    // A read blocks on it at s1, and a later write (2,s1) queues there.
+    d.read(1, 9, 100);
+    assert_eq!(d.core(1).waiting_reads(), 1);
+    d.write(1, 1, 2, val(66));
+    d.crash(2);
     d.run();
-    // Liveness loss the adoption rule exists to prevent: the reader waits
-    // forever (until some future write subsumes the orphan).
-    assert_eq!(d.core(2).waiting_reads(), 1);
-    assert_eq!(d.reads().len(), 0);
+    // At s1 the fairness rule ties the local write (origin s1) with the
+    // splice re-send of the orphan (origin s2) and picks the lower id,
+    // so (2,s1) circulates first and is stored at s1 by the time s0's
+    // adoption commits the orphan. That commit releases the reader,
+    // which gets the newer stored value, not the orphan's.
+    let later = Tag::new(2, ServerId(1));
+    assert_eq!(
+        d.reads(),
+        vec![(ServerId(1), RequestId(100), val(66), later)]
+    );
+    assert_eq!(d.acks(), vec![(ServerId(1), ClientId(1), RequestId(2))]);
+    for i in 0..2 {
+        assert_eq!(d.core(i).stored(), (later, &val(66)));
+        assert!(d.core(i).pending().is_empty(), "pending at s{i}");
+    }
 }
 
 #[test]
-fn orphan_subsumed_by_later_write_unblocks_without_adoption() {
-    let config = Config {
-        adopt_orphans: false,
-        ..Config::default()
+fn read_released_by_a_lower_commit_returns_the_stored_value() {
+    let (t1, t2) = (Tag::new(1, ServerId(0)), Tag::new(2, ServerId(1)));
+    let mut s1 = ServerCore::new(ServerId(1), 3, ObjectId::SINGLE, Config::default());
+    // t1's pre-write passes s1, and a read there blocks on it.
+    s1.on_frame(RingFrame::pre_write(ObjectId::SINGLE, t1, val(1)));
+    assert!(s1.next_frame().is_some());
+    assert!(s1.on_client_read(ClientId(9), RequestId(100)).is_empty());
+    // s1 writes v2 under the higher t2; its pre-write returns, so s1 has
+    // committed (t2, v2) while the read still waits.
+    assert!(s1
+        .on_client_write(ClientId(1), RequestId(2), val(2))
+        .is_empty());
+    let pre = s1.next_frame().expect("pre-write of v2");
+    assert_eq!(pre.pre_write.as_ref().map(|p| p.tag), Some(t2));
+    assert!(s1.on_frame(pre).is_empty());
+    assert_eq!(s1.stored(), (t2, &val(2)));
+    // t1's commit arrives after that, carrying v1: the read it releases
+    // must return the stored (t2, v2), never the message's v1.
+    let released = s1.on_frame(RingFrame::write_with_value(ObjectId::SINGLE, t1, val(1)));
+    let stored_reply = Action::ReadReply {
+        object: ObjectId::SINGLE,
+        client: ClientId(9),
+        request: RequestId(100),
+        value: val(2),
+        tag: t2,
     };
-    let mut d = Driver::new(3, config);
-    d.write(0, 0, 1, val(55));
-    for _ in 0..3 {
-        d.pump_sends();
-        d.deliver_one();
-    }
-    d.read(2, 9, 100);
-    d.crash(0);
-    d.run();
-    assert_eq!(d.core(2).waiting_reads(), 1);
-    // A fresh write through s1 subsumes the orphan and releases the read.
-    d.write(1, 1, 2, val(66));
-    d.run();
-    let reads = d.reads();
-    assert_eq!(reads.len(), 1);
-    assert_eq!(reads[0].2, val(66), "reader gets the newer committed value");
-    assert!(d.core(2).pending().is_empty());
+    assert_eq!(released, vec![stored_reply]);
+    assert_eq!(s1.stored(), (t2, &val(2)));
 }
 
 #[test]

@@ -306,27 +306,6 @@ fn fast_path_reads_remain_linearizable() {
 }
 
 #[test]
-fn write_carries_value_remains_linearizable() {
-    let workload = WorkloadConfig {
-        mix: OpMix::Mixed { read_percent: 30 },
-        value_size: 128,
-        op_limit: Some(8),
-        start_delay: Nanos::ZERO,
-        timeout: Nanos::from_millis(500),
-        window: 1,
-    };
-    let config = Config {
-        write_carries_value: true,
-        ..Config::default()
-    };
-    let mut c = cluster(31, 3, 2, workload, config);
-    c.sim.run_to_quiescence();
-    let (w, r) = total_completed(&c);
-    assert_eq!(w + r, 6 * 8);
-    assert_linearizable(&c);
-}
-
-#[test]
 fn pipelined_window_stays_linearizable() {
     // Open-loop clients: each keeps 6 operations in flight concurrently
     // over its one channel. Completions land out of order; the merged

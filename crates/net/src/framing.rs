@@ -169,9 +169,9 @@ mod tests {
         buf.to_vec()
     }
 
-    /// Decodes the next message of `cursor`, which must hold a whole one.
-    fn read_one(reader: &mut NbMessageReader, cursor: &mut &[u8]) -> io::Result<Message> {
-        match reader.poll(cursor)? {
+    /// Decodes the next message of `src`, which must hold a whole one.
+    fn read_one(reader: &mut NbMessageReader, src: &mut impl Read) -> io::Result<Message> {
+        match reader.poll(src)? {
             MessagePoll::Msg(msg) => Ok(msg),
             other => Err(io::Error::other(format!("no message: {other:?}"))),
         }
@@ -271,6 +271,127 @@ mod tests {
         assert_eq!(read_one(&mut reader, &mut cursor).unwrap(), value_free);
         // ...and the next read reuses that same allocation.
         assert_eq!(reader.body.as_ptr(), recycled);
+    }
+
+    /// A nonblocking source that doles out a script of read results one
+    /// at a time, as a socket under partial readiness would.
+    struct Script {
+        steps: std::collections::VecDeque<ScriptStep>,
+    }
+
+    enum ScriptStep {
+        Data(Vec<u8>),
+        WouldBlock,
+        Interrupt,
+        Eof,
+    }
+
+    impl Script {
+        fn new(steps: Vec<ScriptStep>) -> Script {
+            Script {
+                steps: steps.into(),
+            }
+        }
+    }
+
+    impl Read for Script {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            match self.steps.pop_front() {
+                Some(ScriptStep::Data(d)) => {
+                    let n = d.len().min(buf.len());
+                    buf[..n].copy_from_slice(&d[..n]);
+                    if n < d.len() {
+                        self.steps.push_front(ScriptStep::Data(d[n..].to_vec()));
+                    }
+                    Ok(n)
+                }
+                Some(ScriptStep::WouldBlock) => Err(io::ErrorKind::WouldBlock.into()),
+                Some(ScriptStep::Interrupt) => Err(io::ErrorKind::Interrupted.into()),
+                Some(ScriptStep::Eof) | None => Ok(0),
+            }
+        }
+    }
+
+    fn read_req(request: u64) -> Message {
+        Message::ReadReq {
+            object: ObjectId(1),
+            request: RequestId(request),
+        }
+    }
+
+    #[test]
+    fn nb_reader_survives_byte_at_a_time_delivery() {
+        let msg = Message::WriteReq {
+            object: ObjectId(1),
+            request: RequestId(2),
+            value: Value::filled(5, 5),
+        };
+        let wire = framed(std::slice::from_ref(&msg));
+        let mut steps = Vec::new();
+        for b in &wire {
+            steps.push(ScriptStep::Data(vec![*b]));
+            steps.push(ScriptStep::WouldBlock);
+        }
+        let mut src = Script::new(steps);
+        let mut reader = NbMessageReader::new();
+        let mut pendings = 0;
+        let got = loop {
+            match reader.poll(&mut src).unwrap() {
+                MessagePoll::Msg(m) => break m,
+                MessagePoll::Pending => pendings += 1,
+                MessagePoll::Closed => panic!("early close"),
+            }
+        };
+        assert_eq!(got, msg);
+        // Every byte but the last ended in a WouldBlock.
+        assert_eq!(pendings, wire.len() - 1);
+    }
+
+    #[test]
+    fn nb_reader_drains_a_burst_and_retries_eintr() {
+        let wire = framed(&[read_req(1), read_req(2)]);
+        let mut src = Script::new(vec![
+            ScriptStep::Interrupt,
+            ScriptStep::Data(wire),
+            ScriptStep::WouldBlock,
+            ScriptStep::Interrupt,
+            ScriptStep::Eof,
+        ]);
+        let mut reader = NbMessageReader::new();
+        assert_eq!(read_one(&mut reader, &mut src).unwrap(), read_req(1));
+        assert_eq!(read_one(&mut reader, &mut src).unwrap(), read_req(2));
+        assert!(matches!(reader.poll(&mut src), Ok(MessagePoll::Pending)));
+        assert!(matches!(reader.poll(&mut src), Ok(MessagePoll::Closed)));
+    }
+
+    #[test]
+    fn nb_reader_reports_midframe_close_and_oversize() {
+        let wire = framed(&[read_req(1)]);
+        // A close inside the length prefix, then one inside the body,
+        // each after a WouldBlock left the reader mid-frame.
+        for cut in [2, 5] {
+            let mut src = Script::new(vec![
+                ScriptStep::Data(wire[..cut].to_vec()),
+                ScriptStep::WouldBlock,
+                ScriptStep::Eof,
+            ]);
+            let mut reader = NbMessageReader::new();
+            assert!(matches!(reader.poll(&mut src), Ok(MessagePoll::Pending)));
+            assert_eq!(
+                reader.poll(&mut src).unwrap_err().kind(),
+                io::ErrorKind::UnexpectedEof,
+                "close after {cut} bytes"
+            );
+        }
+
+        // An oversized prefix is refused before any body allocation,
+        // even when it trickles in one byte at a time.
+        let prefix = u32::MAX.to_be_bytes();
+        let mut src = Script::new(prefix.iter().map(|b| ScriptStep::Data(vec![*b])).collect());
+        assert_eq!(
+            NbMessageReader::new().poll(&mut src).unwrap_err().kind(),
+            io::ErrorKind::InvalidData
+        );
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! (the `+ 1` is the shared acceptor) regardless of how many clients or
 //! peers connect.
 //!
-//! The ring link coalesces frames into `RingBatch` messages (with an
-//! optional linger), paces the core by pipeline credit (returned when a
+//! The ring link coalesces frames into `RingBatch` messages, paces the
+//! core by pipeline credit (returned when a
 //! staged batch fully drains into the socket), and turns a failed link
 //! into a crash verdict only after one retry over a fresh connection.
 //!
@@ -46,7 +46,7 @@ use hts_poll::{
     WriteBuf,
 };
 use hts_types::codec::Hello;
-use hts_types::{codec, ClientId, Message, RingFrame, ServerId, Value};
+use hts_types::{ClientId, Message, RingFrame, ServerId, Value};
 use hts_wal::{Recovery, Wal};
 
 use crate::framing::{encode_ring_frames, frame_into, MessagePoll, NbMessageReader};
@@ -258,7 +258,6 @@ struct OutConn {
     unacked: Vec<RingFrame>,
     out: WriteBuf,
     attempts_left: u32,
-    linger_until: Option<Instant>,
     /// Whether the registration currently includes write interest.
     writing: bool,
     /// When the currently staged batch was encoded (`now_nanos`; 0 =
@@ -271,7 +270,6 @@ struct OutConn {
 enum Due {
     Retry,
     ConnectTimeout,
-    Linger,
 }
 
 /// Everything a lane shares with the rest of the reactor.
@@ -287,7 +285,6 @@ struct LanePlumbing {
 struct Lane {
     lc: LaneConfig,
     batching: BatchConfig,
-    linger: Duration,
     pipeline_cap: usize,
     core: MultiObjectServer,
     wal: Option<Wal>,
@@ -321,7 +318,6 @@ impl Lane {
         let n = lc.addrs.len() as u16;
         let lanes = lc.config.lanes.max(1);
         let batching = lc.config.batching.normalized();
-        let linger = Duration::from_nanos(batching.linger.as_nanos());
         // Frames the lane may hand its staged/pending buffers ahead of
         // drain acknowledgement: one batch on the wire, one queued
         // behind it.
@@ -331,7 +327,6 @@ impl Lane {
         Lane {
             lc,
             batching,
-            linger,
             pipeline_cap,
             core,
             wal,
@@ -416,10 +411,8 @@ impl Lane {
     }
 
     fn teardown(&mut self) {
-        // A lingering partial batch ships now: the linger only waits
-        // for company, and none is coming. Best effort — whatever the
-        // socket takes without blocking.
-        self.linger = Duration::ZERO;
+        // Frames still staged or pending for a successor ship now. Best
+        // effort — whatever the socket takes without blocking.
         for (_, mut conn) in std::mem::take(&mut self.ring_outs) {
             let _ = self.resume_write(&mut conn);
             self.drop_out_sockets(&conn);
@@ -717,10 +710,8 @@ impl Lane {
     }
 
     /// Stages the next coalesced batch into `conn.out` (one encoded
-    /// batch at a time, hello bytes may precede the first). Honors the
-    /// linger window: a partial batch waits up to `linger` for company,
-    /// but one that fills ships at once. Returns `false` when nothing
-    /// was staged.
+    /// batch at a time, hello bytes may precede the first). Returns
+    /// `false` when nothing was staged.
     fn encode_next(&mut self, conn: &mut OutConn) -> bool {
         if !matches!(conn.state, OutState::Ready(_))
             || !conn.unacked.is_empty()
@@ -728,26 +719,10 @@ impl Lane {
         {
             return false;
         }
-        let max_frames = self.batching.max_frames.max(1);
-        if !self.linger.is_zero() && conn.pending.len() < max_frames {
-            let queued: usize = conn.pending.iter().map(codec::frame_wire_size).sum();
-            if queued < self.batching.max_bytes {
-                let now = Instant::now();
-                match conn.linger_until {
-                    None => {
-                        conn.linger_until = Some(now + self.linger);
-                        return false;
-                    }
-                    Some(deadline) if now < deadline => return false,
-                    Some(_) => {}
-                }
-            }
-        }
-        conn.linger_until = None;
         let mut bytes = 0usize;
         drain_batch(
             &mut conn.pending,
-            max_frames,
+            self.batching.max_frames.max(1),
             self.batching.max_bytes,
             &mut bytes,
             &mut conn.unacked,
@@ -891,7 +866,6 @@ impl Lane {
             unacked: Vec::new(),
             out: WriteBuf::new(),
             attempts_left: attempts,
-            linger_until: None,
             writing: false,
             staged_at: 0,
         }
@@ -1023,7 +997,7 @@ impl Lane {
             let deadline = match &conn.state {
                 OutState::Waiting { retry_at } => Some(*retry_at),
                 OutState::Connecting { deadline, .. } => Some(*deadline),
-                OutState::Ready(_) => conn.linger_until,
+                OutState::Ready(_) => None,
             };
             if let Some(deadline) = deadline {
                 next = Some(next.map_or(deadline, |cur: Instant| cur.min(deadline)));
@@ -1044,9 +1018,6 @@ impl Lane {
                 OutState::Connecting { deadline, .. } if *deadline <= now => {
                     Some(Due::ConnectTimeout)
                 }
-                OutState::Ready(_) if conn.linger_until.is_some_and(|d| d <= now) => {
-                    Some(Due::Linger)
-                }
                 _ => None,
             };
             if let Some(kind) = fire {
@@ -1060,7 +1031,6 @@ impl Lane {
             let healthy = match kind {
                 Due::Retry => self.start_connect(&mut conn),
                 Due::ConnectTimeout => self.connect_failed(&mut conn),
-                Due::Linger => self.resume_write(&mut conn).is_ok(),
             };
             if healthy {
                 self.update_out_interest(&mut conn);

@@ -328,149 +328,6 @@ pub(crate) struct LaneConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::{Read, Write};
-    use std::net::{TcpListener, TcpStream};
-    use std::thread;
-    use std::time::{Duration, Instant};
-
-    use bytes::BytesMut;
-    use crossbeam::channel::{unbounded, Receiver};
-    use hts_core::BatchConfig;
-    use hts_sim::Nanos;
-    use hts_types::codec::Hello;
-    use hts_types::{ObjectId, RequestId, Value};
-
-    use crate::framing::{frame_into, MessagePoll, NbMessageReader};
-
-    /// Accepts one ring connection on `listener` and forwards every
-    /// decoded wire message (with its arrival instant) into a channel.
-    fn accept_ring(listener: TcpListener) -> Receiver<(Instant, Message)> {
-        let (tx, rx) = unbounded();
-        thread::spawn(move || {
-            let Ok((mut stream, _)) = listener.accept() else {
-                return;
-            };
-            let mut hello = [0u8; 5];
-            if stream.read_exact(&mut hello[..1]).is_err() {
-                return;
-            }
-            let rest = if hello[0] == 0x01 { 2 } else { 4 };
-            if stream.read_exact(&mut hello[1..1 + rest]).is_err() {
-                return;
-            }
-            // A blocking socket: `poll` returns only once a whole
-            // message (or the end of the stream) has arrived.
-            let mut reader = NbMessageReader::new();
-            while let Ok(MessagePoll::Msg(msg)) = reader.poll(&mut stream) {
-                if tx.send((Instant::now(), msg)).is_err() {
-                    return;
-                }
-            }
-        });
-        rx
-    }
-
-    fn lingering(linger: Duration, max_frames: usize) -> BatchConfig {
-        BatchConfig {
-            max_frames,
-            max_bytes: 1024 * 1024,
-            linger: Nanos(linger.as_nanos() as u64),
-        }
-    }
-
-    /// Spawns server 0 of a two-server ring whose successor, server 1, is
-    /// `successor`: a bare listener that records the ring traffic.
-    fn server_before(successor: SocketAddr, batching: BatchConfig) -> Server {
-        Server::spawn(ServerConfig {
-            id: ServerId(0),
-            addrs: vec!["127.0.0.1:0".parse().expect("addr"), successor],
-            config: Config {
-                batching,
-                ..Config::default()
-            },
-            wal_dir: None,
-        })
-        .expect("spawn")
-    }
-
-    /// A raw client connection to `server`, handshake sent.
-    fn connect_client(server: &Server) -> TcpStream {
-        let mut stream = TcpStream::connect(server.addr()).expect("connect");
-        stream
-            .write_all(&Hello::Client(ClientId(1)).encode())
-            .expect("hello");
-        stream
-    }
-
-    /// Sends a write of register `object`: server 0 coordinates it, so
-    /// its pre-write frame heads for the successor.
-    fn send_write(stream: &mut TcpStream, object: u32) {
-        let mut buf = BytesMut::new();
-        frame_into(
-            &mut buf,
-            &Message::WriteReq {
-                object: ObjectId(object),
-                request: RequestId(u64::from(object)),
-                value: Value::from_u64(u64::from(object)),
-            },
-        );
-        stream.write_all(&buf).expect("send write");
-    }
-
-    #[test]
-    fn filled_batch_flushes_immediately_mid_linger() {
-        // With a 5 s linger, a batch that FILLS mid-linger must still hit
-        // the wire at once: the linger only waits for company, and the
-        // second write is that company.
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let successor = listener.local_addr().expect("addr");
-        let msgs = accept_ring(listener);
-        let server = server_before(successor, lingering(Duration::from_secs(5), 2));
-        let mut client = connect_client(&server);
-        send_write(&mut client, 1);
-        thread::sleep(Duration::from_millis(50));
-        let pushed = Instant::now();
-        send_write(&mut client, 2);
-        let (arrived, msg) = msgs
-            .recv_timeout(Duration::from_secs(2))
-            .expect("filled batch stuck behind the linger");
-        assert!(
-            arrived.duration_since(pushed) < Duration::from_secs(1),
-            "batch waited out the linger instead of flushing on fill"
-        );
-        match msg {
-            Message::RingBatch(frames) => assert_eq!(frames.len(), 2),
-            other => panic!("expected the filled 2-frame batch, got {other}"),
-        }
-        server.shutdown();
-    }
-
-    #[test]
-    fn shutdown_mid_linger_flushes_and_exits_promptly() {
-        // Stopping the server mid-linger must ship the partial batch
-        // right away and return without sitting out the linger.
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let successor = listener.local_addr().expect("addr");
-        let msgs = accept_ring(listener);
-        let server = server_before(successor, lingering(Duration::from_secs(5), 64));
-        let mut client = connect_client(&server);
-        send_write(&mut client, 1);
-        thread::sleep(Duration::from_millis(50));
-        let stopped = Instant::now();
-        server.shutdown();
-        assert!(
-            stopped.elapsed() < Duration::from_secs(1),
-            "shutdown sat out the linger"
-        );
-        let (arrived, msg) = msgs
-            .recv_timeout(Duration::from_secs(2))
-            .expect("shutdown dropped the lingering batch");
-        assert!(
-            arrived.duration_since(stopped) < Duration::from_secs(1),
-            "shutdown flush delayed by the linger"
-        );
-        assert!(matches!(msg, Message::Ring(_)));
-    }
 
     #[test]
     fn lane_wal_dirs_nest_only_when_laned() {

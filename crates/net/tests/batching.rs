@@ -1,6 +1,6 @@
 //! End-to-end TCP tests of the batched ring pipeline: aggressive frame
-//! coalescing (and a non-zero linger) must be invisible to clients — the
-//! full concurrent history stays linearizable through kill/restart.
+//! coalescing must be invisible to clients — the full concurrent history
+//! stays linearizable through kill/restart.
 
 use std::fs;
 use std::path::PathBuf;
@@ -10,7 +10,6 @@ use std::time::{Duration, Instant};
 use hts_core::{BatchConfig, Config};
 use hts_lincheck::{check_conditions, History};
 use hts_net::{Client, Cluster};
-use hts_sim::Nanos;
 use hts_types::{ClientId, ServerId, Value};
 
 fn tmp_base(name: &str) -> PathBuf {
@@ -23,15 +22,13 @@ fn nanos_since(epoch: Instant) -> u64 {
     epoch.elapsed().as_nanos() as u64
 }
 
-/// An aggressive batching configuration: deep batches, a real linger
-/// window, so the writer's coalescing paths (drain + linger top-up) all
-/// run under load.
+/// An aggressive batching configuration: deep batches with a 1 MiB byte
+/// budget, so the writer's coalescing paths run under load.
 fn batched_config() -> Config {
     Config {
         batching: BatchConfig {
             max_frames: 64,
             max_bytes: 1024 * 1024,
-            linger: Nanos::from_micros(200),
         },
         ..Config::default()
     }

@@ -15,10 +15,9 @@ fn write_then_read_through_different_servers() {
 
     // Read through each server: all must return the committed value.
     for (i, _) in addrs.iter().enumerate() {
-        let mut reader = Client::connect(100 + i as u32, addrs.clone()).expect("reader");
-        // Point the reader at server i by rotating the address list? No —
-        // ClientCore prefers ServerId(0); instead verify via repeated
-        // reads through the default path plus one rotated client below.
+        let mut reader =
+            Client::connect_preferring(100 + i as u32, addrs.clone(), ServerId(i as u16))
+                .expect("reader");
         let got = reader.read().expect("read");
         assert_eq!(got, Value::from_u64(7), "reader {i}");
     }

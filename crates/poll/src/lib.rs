@@ -12,12 +12,13 @@
 //!    `sockaddr` by hand, issues a `SOCK_NONBLOCK` `connect(2)`, and
 //!    hands back a std [`TcpStream`]; the caller waits for `EPOLLOUT`
 //!    and checks `take_error()` (`SO_ERROR`) to learn the verdict.
-//! 3. **State machines** — [`WriteBuf`] (coalesced writes that survive
-//!    `WouldBlock`/`EINTR`/partial progress) and [`FrameReader`]
-//!    (u32-big-endian length-prefixed frames assembled across any
-//!    number of partial reads).
+//! 3. **Nonblocking I/O helpers** — [`read_nb`] (one read, with
+//!    `EINTR` retried and `WouldBlock`/EOF reported as [`ReadStatus`])
+//!    and [`WriteBuf`] (coalesced writes that survive
+//!    `WouldBlock`/`EINTR`/partial progress). Inbound framing lives with
+//!    the wire codec in `hts-net` (`NbMessageReader`).
 //!
-//! On non-Linux targets the pure state machines still compile and the
+//! On non-Linux targets the pure helpers still compile and the
 //! syscall-backed types report `Unsupported`; the net layer's TCP
 //! runtime is Linux-only and passes that error on.
 
@@ -716,112 +717,18 @@ impl WriteBuf {
     }
 }
 
-/// Result of one [`FrameReader::poll`].
-#[derive(Debug, PartialEq, Eq)]
-pub enum FramePoll {
-    /// A complete frame body.
-    Frame(Vec<u8>),
-    /// Mid-frame (or no bytes at all); wait for readability.
-    Pending,
-    /// Clean EOF on a frame boundary.
-    Closed,
-}
-
-/// Assembles u32-big-endian length-prefixed frames across any number of
-/// partial nonblocking reads: header bytes accumulate one at a time if
-/// need be, then the body, and only a complete body is handed out.
-pub struct FrameReader {
-    max_frame: usize,
-    header: [u8; 4],
-    filled: usize,
-    body: Vec<u8>,
-    in_body: bool,
-}
-
-impl FrameReader {
-    /// A reader that rejects frames larger than `max_frame` bytes.
-    pub fn new(max_frame: usize) -> FrameReader {
-        FrameReader {
-            max_frame,
-            header: [0; 4],
-            filled: 0,
-            body: Vec::new(),
-            in_body: false,
-        }
-    }
-
-    /// Pulls bytes until a frame completes, the source would block, or
-    /// it cleanly closes. Call in a loop to drain a readiness burst:
-    /// each `Frame` may be followed by more.
-    ///
-    /// # Errors
-    ///
-    /// `InvalidData` on an oversized length prefix, `UnexpectedEof` on
-    /// a mid-frame close, otherwise the socket error.
-    pub fn poll<R: Read>(&mut self, reader: &mut R) -> io::Result<FramePoll> {
-        loop {
-            if !self.in_body {
-                let n = match read_nb(reader, &mut self.header[self.filled..])? {
-                    ReadStatus::Data(n) => n,
-                    ReadStatus::WouldBlock => return Ok(FramePoll::Pending),
-                    ReadStatus::Eof => {
-                        if self.filled == 0 {
-                            return Ok(FramePoll::Closed);
-                        }
-                        return Err(io::ErrorKind::UnexpectedEof.into());
-                    }
-                };
-                self.filled += n;
-                if self.filled < 4 {
-                    continue;
-                }
-                let len = u32::from_be_bytes(self.header) as usize;
-                if len > self.max_frame {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!(
-                            "frame of {len} bytes exceeds the {}-byte cap",
-                            self.max_frame
-                        ),
-                    ));
-                }
-                self.body = vec![0; len];
-                self.filled = 0;
-                self.in_body = true;
-                continue;
-            }
-            if self.filled < self.body.len() {
-                let n = match read_nb(reader, &mut self.body[self.filled..])? {
-                    ReadStatus::Data(n) => n,
-                    ReadStatus::WouldBlock => return Ok(FramePoll::Pending),
-                    ReadStatus::Eof => return Err(io::ErrorKind::UnexpectedEof.into()),
-                };
-                self.filled += n;
-                if self.filled < self.body.len() {
-                    continue;
-                }
-            }
-            self.in_body = false;
-            self.filled = 0;
-            return Ok(FramePoll::Frame(std::mem::take(&mut self.body)));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// An io source that doles out a script of results one at a time.
+    /// A sink that doles out a script of write results one at a time.
     struct Script {
         steps: std::collections::VecDeque<ScriptStep>,
     }
 
     enum ScriptStep {
-        Data(Vec<u8>),
         WouldBlock,
         Interrupt,
-        Eof,
         Accept(usize),
     }
 
@@ -833,106 +740,18 @@ mod tests {
         }
     }
 
-    impl Read for Script {
-        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-            match self.steps.pop_front() {
-                Some(ScriptStep::Data(d)) => {
-                    let n = d.len().min(buf.len());
-                    buf[..n].copy_from_slice(&d[..n]);
-                    if n < d.len() {
-                        self.steps.push_front(ScriptStep::Data(d[n..].to_vec()));
-                    }
-                    Ok(n)
-                }
-                Some(ScriptStep::WouldBlock) => Err(io::ErrorKind::WouldBlock.into()),
-                Some(ScriptStep::Interrupt) => Err(io::ErrorKind::Interrupted.into()),
-                Some(ScriptStep::Eof) | None => Ok(0),
-                Some(ScriptStep::Accept(_)) => unreachable!("write step in read script"),
-            }
-        }
-    }
-
     impl Write for Script {
         fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
             match self.steps.pop_front() {
                 Some(ScriptStep::Accept(n)) => Ok(n.min(buf.len())),
                 Some(ScriptStep::WouldBlock) => Err(io::ErrorKind::WouldBlock.into()),
                 Some(ScriptStep::Interrupt) => Err(io::ErrorKind::Interrupted.into()),
-                _ => unreachable!("read step in write script"),
+                None => unreachable!("write past the end of the script"),
             }
         }
         fn flush(&mut self) -> io::Result<()> {
             Ok(())
         }
-    }
-
-    fn frame(body: &[u8]) -> Vec<u8> {
-        let mut out = (body.len() as u32).to_be_bytes().to_vec();
-        out.extend_from_slice(body);
-        out
-    }
-
-    #[test]
-    fn frame_reader_survives_byte_at_a_time_delivery() {
-        let wire = frame(b"hello");
-        let mut steps = Vec::new();
-        for b in &wire {
-            steps.push(ScriptStep::Data(vec![*b]));
-            steps.push(ScriptStep::WouldBlock);
-        }
-        let mut src = Script::new(steps);
-        let mut reader = FrameReader::new(1024);
-        let mut got = None;
-        for _ in 0..wire.len() * 2 {
-            match reader.poll(&mut src).unwrap() {
-                FramePoll::Frame(f) => {
-                    got = Some(f);
-                    break;
-                }
-                FramePoll::Pending => {}
-                FramePoll::Closed => panic!("early close"),
-            }
-        }
-        assert_eq!(got.as_deref(), Some(&b"hello"[..]));
-    }
-
-    #[test]
-    fn frame_reader_drains_a_burst_and_retries_eintr() {
-        let mut wire = frame(b"one");
-        wire.extend_from_slice(&frame(b"two"));
-        let mut src = Script::new(vec![
-            ScriptStep::Interrupt,
-            ScriptStep::Data(wire),
-            ScriptStep::Eof,
-        ]);
-        let mut reader = FrameReader::new(1024);
-        assert_eq!(
-            reader.poll(&mut src).unwrap(),
-            FramePoll::Frame(b"one".to_vec())
-        );
-        assert_eq!(
-            reader.poll(&mut src).unwrap(),
-            FramePoll::Frame(b"two".to_vec())
-        );
-        assert_eq!(reader.poll(&mut src).unwrap(), FramePoll::Closed);
-    }
-
-    #[test]
-    fn frame_reader_reports_midframe_close_and_oversize() {
-        let wire = frame(b"abc");
-        let mut src = Script::new(vec![ScriptStep::Data(wire[..5].to_vec()), ScriptStep::Eof]);
-        let mut reader = FrameReader::new(1024);
-        assert_eq!(
-            reader.poll(&mut src).unwrap_err().kind(),
-            io::ErrorKind::UnexpectedEof
-        );
-
-        let mut src = Script::new(vec![ScriptStep::Data(u32::MAX.to_be_bytes().to_vec())]);
-        let mut reader = FrameReader::new(1024);
-        assert_eq!(
-            reader.poll(&mut src).unwrap_err().kind(),
-            io::ErrorKind::InvalidData
-        );
     }
 
     #[test]

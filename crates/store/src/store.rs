@@ -155,7 +155,7 @@ impl ShardedStoreBuilder {
         self
     }
 
-    /// Protocol configuration (default [`Config::paper`]).
+    /// Protocol configuration (default [`Config::default`]).
     pub fn config(mut self, config: Config) -> Self {
         self.config = config;
         self
