@@ -134,6 +134,25 @@ impl SessionCore {
     }
 
     /// Whether another operation may begin without exceeding the window.
+    ///
+    /// # Examples
+    ///
+    /// A window of 1 is the paper's sequential client: one operation in
+    /// flight until its reply lands.
+    ///
+    /// ```
+    /// use hts_core::{Completion, SessionCore};
+    /// use hts_types::{ClientId, Message, ObjectId, ServerId, Value};
+    ///
+    /// let mut s = SessionCore::new(ClientId(0), ObjectId::SINGLE, 3, ServerId(1), 1);
+    /// let (request, server, _msg) = s.begin_write(Value::from_u64(7));
+    /// assert_eq!(server, ServerId(1));
+    /// assert!(!s.has_capacity());
+    /// // ... transport sends the message, server replies ...
+    /// let done = s.on_reply(&Message::WriteAck { object: ObjectId::SINGLE, request });
+    /// assert_eq!(done, Some(Completion { request, value: None }));
+    /// assert!(s.has_capacity());
+    /// ```
     pub fn has_capacity(&self) -> bool {
         self.inflight.len() < self.window
     }
@@ -481,6 +500,49 @@ mod tests {
         let (_, first, _) = s.begin_read();
         assert_eq!(first, ServerId(1));
         assert!(s.on_server_down(ServerId(0)).is_empty());
+    }
+
+    #[test]
+    fn window_one_server_down_retries_at_once_and_avoids_the_dead_server() {
+        let mut s = session(1);
+        let (request, first, _) = s.begin_read();
+        assert_eq!(first, ServerId(1));
+        let resends = s.on_server_down(ServerId(1));
+        assert_eq!(resends.len(), 1);
+        assert_eq!((resends[0].0, resends[0].1), (request, ServerId(2)));
+        assert_eq!(s.server_of(request), Some(ServerId(2)));
+        // Complete, then a fresh op avoids the dead preferred server.
+        s.on_reply(&Message::ReadAck {
+            object: ObjectId::SINGLE,
+            request,
+            value: Value::bottom(),
+        });
+        let (_, server, _) = s.begin_read();
+        assert_eq!(server, ServerId(2));
+    }
+
+    #[test]
+    fn window_one_server_up_restores_the_preferred_server() {
+        let mut s = session(1);
+        assert!(s.on_server_down(ServerId(1)).is_empty());
+        let (request, server, _) = s.begin_read();
+        assert_eq!(server, ServerId(2), "dead preferred avoided");
+        s.on_reply(&Message::ReadAck {
+            object: ObjectId::SINGLE,
+            request,
+            value: Value::bottom(),
+        });
+        s.on_server_up(ServerId(1));
+        let (_, server, _) = s.begin_read();
+        assert_eq!(server, ServerId(1), "recovered preferred used again");
+    }
+
+    #[test]
+    #[should_panic(expected = "session window of 1 full")]
+    fn window_one_overlapping_operations_panic() {
+        let mut s = session(1);
+        let _ = s.begin_read();
+        let _ = s.begin_read();
     }
 
     #[test]
