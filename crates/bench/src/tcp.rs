@@ -78,10 +78,11 @@ pub struct TcpMeasurement {
     pub write_lat_nanos: Vec<u64>,
     /// Per-read wall-clock latencies (nanoseconds), window only.
     pub read_lat_nanos: Vec<u64>,
-    /// Reads answered from the snapshot cell (window delta of
-    /// `hts_net_read_fastpath_hits_total`; 0 with metrics off).
+    /// Reads the core answered at once under `read_fast_path` (window
+    /// delta of `hts_core_read_fastpath_hits_total`; 0 with metrics off).
     pub fastpath_hits: u64,
-    /// Reads that fell back to the protocol core (window delta).
+    /// Reads the core held under `read_fast_path` (window delta of
+    /// `hts_core_read_fastpath_fallbacks_total`).
     pub fastpath_fallbacks: u64,
     /// Whole-process CPU microseconds per completed operation over the
     /// window (`NaN` where unsupported).
@@ -184,14 +185,14 @@ pub fn run_tcp(params: &TcpParams) -> TcpMeasurement {
         .collect();
 
     std::thread::sleep(params.warmup);
-    let hits0 = hts_metrics::counter("hts_net_read_fastpath_hits_total").get();
-    let falls0 = hts_metrics::counter("hts_net_read_fastpath_fallbacks_total").get();
+    let hits0 = hts_metrics::counter("hts_core_read_fastpath_hits_total").get();
+    let falls0 = hts_metrics::counter("hts_core_read_fastpath_fallbacks_total").get();
     let cpu0 = hts_metrics::process_cpu_nanos();
     phase.store(MEASURE, Ordering::SeqCst);
     std::thread::sleep(params.measure);
     phase.store(DONE, Ordering::SeqCst);
-    let hits = hts_metrics::counter("hts_net_read_fastpath_hits_total").get() - hits0;
-    let falls = hts_metrics::counter("hts_net_read_fastpath_fallbacks_total").get() - falls0;
+    let hits = hts_metrics::counter("hts_core_read_fastpath_hits_total").get() - hits0;
+    let falls = hts_metrics::counter("hts_core_read_fastpath_fallbacks_total").get() - falls0;
     let cpu1 = hts_metrics::process_cpu_nanos();
 
     let mut writes = 0u64;

@@ -11,7 +11,7 @@
 //! version = 1
 //!
 //! [models]
-//! "crates/core/src/snapshot.rs" = "crates/mc/tests/models.rs"
+//! "crates/metrics/src/flight.rs" = "crates/mc/tests/models.rs"
 //!
 //! [exempt]
 //! "crates/net/src/reactor.rs" = "a monotonic stop flag"

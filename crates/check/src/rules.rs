@@ -533,18 +533,16 @@ fn rule_l5(file: &str, toks: &[Tok<'_>], comments: &[Comment], out: &mut Vec<Vio
 /// throughput regression, not a style nit. The metrics helpers
 /// (`hts_metrics::now_nanos`, the `counter!`-family macros) are designed
 /// alloc-free and are not in the flagged construct set.
-const HOT_FUNCTIONS: [&str; 12] = [
+const HOT_FUNCTIONS: [&str; 10] = [
     "drain_batch",
     "next_frame",
     "drain_frames",
     "drain_frames_with",
     "next_object_frame",
     "pump",
-    // The zero-copy decode and the seqlock read fast path: a per-call
-    // allocation here is exactly what the zero-copy PR removed.
+    // The zero-copy decode: a per-call allocation here is exactly what
+    // the zero-copy PR removed.
     "decode_shared",
-    "publish",
-    "try_read",
     // The reactor's per-wakeup path: every readiness event (so every
     // frame, reply, and reconnect) flows through these.
     "poll_ready",

@@ -116,12 +116,9 @@ impl BatchConfig {
 pub struct Config {
     /// Let a read return immediately when the locally stored tag already
     /// dominates every pending pre-write (ablation A2). The paper always
-    /// waits for the next `write` message. The TCP runtime additionally
-    /// gates its snapshot shortcut on this: with the flag on, an
-    /// unblocked read is answered from the seqlock snapshot cell by the
-    /// lane thread that owns the client's socket, without a call into
-    /// the protocol core (or a hop to the object's lane); off, every
-    /// read goes through the core.
+    /// waits for the next `write` message. With the flag on, the core
+    /// counts each read as a fast-path hit (answered at once) or
+    /// fallback (held).
     pub read_fast_path: bool,
     /// Persistence of committed writes (crash-stop vs crash-recovery).
     pub durability: Durability,

@@ -33,7 +33,8 @@
 //!   out-of-order [`Completion`]s. A window of 1 is the paper's client.
 //! * [`MultiObjectServer`] — many registers multiplexed over one ring.
 //! * [`SimServer`] / [`SimClient`] — adapters for the `hts-sim` packet
-//!   simulator (used by every benchmark).
+//!   simulator (the deterministic paper-figure runs and the
+//!   linearizability suites).
 //! * [`RoundServer`] / [`RoundClient`] — adapters for the paper's
 //!   synchronous round model (validates the §4 analytical claims).
 //! * [`Config`] — the paper-faithful defaults, plus durability, batching,
@@ -78,17 +79,12 @@
 //! }
 //! ```
 
-// `deny` rather than `forbid`: the `snapshot` module (and only it) opts
-// back in for the seqlock read cell's `UnsafeCell` slot — the one place
-// safe Rust cannot express the wait-free published-snapshot protocol.
-// hts-check rule L5 requires a SAFETY comment on every unsafe block.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod config;
 mod fairness;
 mod lanes;
-mod mc_shim;
 mod multi;
 mod pending;
 mod ring;
@@ -96,7 +92,6 @@ mod round_adapter;
 mod server;
 mod session;
 mod sim_adapter;
-mod snapshot;
 
 pub use config::{BatchConfig, Config, Durability};
 pub use fairness::{ForwardScheduler, Selection};
@@ -108,4 +103,3 @@ pub use round_adapter::{RoundClient, RoundClientStats, RoundServer};
 pub use server::{Action, ServerCore, ServerStats};
 pub use session::{Completion, SessionCore, REPROBE_PERIOD};
 pub use sim_adapter::{unique_value, ClientStats, OpMix, SimClient, SimServer, WorkloadConfig};
-pub use snapshot::{ReadCell, ReadCellRegistry};

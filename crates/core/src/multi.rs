@@ -9,11 +9,10 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::ops::Bound::{Excluded, Unbounded};
-use std::sync::Arc;
 
 use hts_types::{ClientId, ObjectId, Rejoin, RequestId, RingFrame, ServerId, Tag, Value};
 
-use crate::{Action, Config, ReadCellRegistry, RingView, ServerCore};
+use crate::{Action, Config, RingView, ServerCore};
 
 /// A ring server hosting many independent atomic registers.
 ///
@@ -48,10 +47,6 @@ pub struct MultiObjectServer {
     syncing: bool,
     /// [`hts_metrics::now_nanos`] when the resync began (0 outside one).
     sync_begun_at: u64,
-    /// Snapshot cells for the transport's lock-free read fast path
-    /// (attached by the runtime; `None` in simulators). Each core gets
-    /// its object's cell when created.
-    cells: Option<Arc<ReadCellRegistry>>,
 }
 
 impl MultiObjectServer {
@@ -70,19 +65,7 @@ impl MultiObjectServer {
             announce: VecDeque::new(),
             syncing: false,
             sync_begun_at: 0,
-            cells: None,
         }
-    }
-
-    /// Attaches the read-cell registry consulted by the transport's
-    /// lock-free read fast path: every current and future object core
-    /// publishes its snapshot into the registry's cell for that object.
-    /// The thread driving this server is the cells' single writer.
-    pub fn attach_read_cells(&mut self, cells: Arc<ReadCellRegistry>) {
-        for (object, core) in self.objects.iter_mut() {
-            core.attach_read_cell(cells.cell(*object));
-        }
-        self.cells = Some(cells);
     }
 
     /// This server's id.
@@ -111,7 +94,6 @@ impl MultiObjectServer {
             objects,
             ring,
             syncing,
-            cells,
             ..
         } = self;
         objects.entry(object).or_insert_with(|| {
@@ -124,10 +106,6 @@ impl MultiObjectServer {
             // seen may still have history elsewhere in the ring.
             if *syncing {
                 core.begin_sync();
-            }
-            // ...and publish into the fast-path cell from birth.
-            if let Some(cells) = cells {
-                core.attach_read_cell(cells.cell(object));
             }
             core
         })

@@ -21,13 +21,12 @@
 //! crash.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::sync::Arc;
 
 use hts_types::{
     ClientId, ObjectId, PreWrite, RequestId, RingFrame, ServerId, Tag, Value, WriteNotice,
 };
 
-use crate::{Config, ForwardScheduler, PendingSet, ReadCell, RingView, Selection};
+use crate::{Config, ForwardScheduler, PendingSet, RingView, Selection};
 
 /// A client-visible effect produced by the server core; the transport
 /// layer turns these into reply messages.
@@ -143,12 +142,6 @@ pub struct ServerCore {
     /// Commits applied since the last [`drain_commits`](Self::drain_commits)
     /// (populated only under a persistent [`Durability`](crate::Durability)).
     commit_log: Vec<(Tag, Value)>,
-    /// The published snapshot cell behind the net layer's lock-free read
-    /// fast path (attached by the runtime; `None` in simulators).
-    cell: Option<Arc<ReadCell>>,
-    /// What the cell currently says — `(stored_tag, blocked)` — so
-    /// republishing is a no-op when nothing observable changed.
-    published: Option<(Tag, bool)>,
     stats: ServerStats,
 }
 
@@ -178,8 +171,6 @@ impl ServerCore {
             syncing: false,
             sync_reads: Vec::new(),
             commit_log: Vec::new(),
-            cell: None,
-            published: None,
             stats: ServerStats::default(),
         }
     }
@@ -236,61 +227,25 @@ impl ServerCore {
         self.syncing
     }
 
-    /// Attaches the published snapshot cell consulted by the transport's
-    /// lock-free read fast path; the cell immediately reflects the
-    /// core's current state. This core's event loop is the cell's single
-    /// writer — do not attach one cell to two cores, and do not clone an
-    /// attached core.
-    pub fn attach_read_cell(&mut self, cell: Arc<ReadCell>) {
-        self.cell = Some(cell);
-        self.published = None;
-        self.republish();
-    }
-
-    /// Re-publishes `(stored_tag, stored_value)` and the read-blocked
-    /// bit into the attached cell whenever either changed. The blocked
-    /// predicate mirrors [`on_client_read`](Self::on_client_read)'s
-    /// immediate-read test (minus the lone-survivor shortcut — the cell
-    /// is conservative there, which only costs a fallback hop).
-    fn republish(&mut self) {
-        let Some(cell) = &self.cell else { return };
-        let blocked = self.syncing
-            || match self.pending.max_tag() {
-                None => false,
-                Some(max) => !(self.config.read_fast_path && self.stored_tag >= max),
-            };
-        if self.published == Some((self.stored_tag, blocked)) {
-            return;
-        }
-        match self.published {
-            // Same snapshot, different gate: skip the slot (and the
-            // reader drain) — only the flag word moves.
-            Some((tag, _)) if tag == self.stored_tag => cell.set_blocked(blocked),
-            _ => cell.publish(self.stored_tag, &self.stored_value, blocked),
-        }
-        self.published = Some((self.stored_tag, blocked));
-    }
-
     /// Enters resync mode after a restart-from-log (no-op when this
     /// server is the only one alive — there is nobody to sync from).
     pub fn begin_sync(&mut self) {
         if self.ring.alive_count() > 1 {
             self.syncing = true;
         }
-        self.republish();
     }
 
     /// Leaves resync mode and answers the reads queued during it
     /// (re-routed through the normal read path, so they still block on
-    /// any pending pre-write learned during the sync).
+    /// any pending pre-write learned during the sync; each already
+    /// counted as a fast-path fallback when it queued).
     pub fn finish_sync(&mut self) -> Vec<Action> {
         self.syncing = false;
         let queued = std::mem::take(&mut self.sync_reads);
         let mut actions = Vec::new();
         for (client, request) in queued {
-            actions.extend(self.on_client_read(client, request));
+            actions.extend(self.read_or_hold(client, request));
         }
-        self.republish();
         actions
     }
 
@@ -305,7 +260,6 @@ impl ServerCore {
         }
         self.note_prewrite_seen(tag);
         self.note_write_seen(tag);
-        self.republish();
     }
 
     /// Takes the commits applied since the last drain (empty unless
@@ -367,17 +321,6 @@ impl ServerCore {
         request: RequestId,
         value: Value,
     ) -> Vec<Action> {
-        let actions = self.handle_client_write(client, request, value);
-        self.republish();
-        actions
-    }
-
-    fn handle_client_write(
-        &mut self,
-        client: ClientId,
-        request: RequestId,
-        value: Value,
-    ) -> Vec<Action> {
         if self.ring.alive_count() == 1 && !self.syncing {
             // Degenerate ring: the full circulation is a no-op. (A lone
             // survivor that is still mid-resync must NOT take this
@@ -398,8 +341,24 @@ impl ServerCore {
         Vec::new()
     }
 
-    /// A client asked to read (paper lines 76–84).
+    /// A client asked to read (paper lines 76–84). With
+    /// [`Config::read_fast_path`] on, every read also counts as a
+    /// fast-path hit (answered at once) or fallback (held).
     pub fn on_client_read(&mut self, client: ClientId, request: RequestId) -> Vec<Action> {
+        let actions = self.read_or_hold(client, request);
+        if self.config.read_fast_path {
+            if actions.is_empty() {
+                hts_metrics::counter!("hts_core_read_fastpath_fallbacks_total").inc();
+            } else {
+                hts_metrics::counter!("hts_core_read_fastpath_hits_total").inc();
+            }
+        }
+        actions
+    }
+
+    /// Answers a read from the stored register, or holds it while the
+    /// server resyncs or knows of a pending write it must wait out.
+    fn read_or_hold(&mut self, client: ClientId, request: RequestId) -> Vec<Action> {
         if self.syncing {
             // Restart resync: the restored state may miss writes
             // committed during the downtime; serving now could travel
@@ -452,18 +411,11 @@ impl ServerCore {
         if let Some(pw) = frame.pre_write {
             self.process_pre_write(pw, &mut actions);
         }
-        self.republish();
         actions
     }
 
     /// The perfect failure detector reported the crash of `s`.
     pub fn on_server_crashed(&mut self, s: ServerId) -> Vec<Action> {
-        let actions = self.handle_server_crashed(s);
-        self.republish();
-        actions
-    }
-
-    fn handle_server_crashed(&mut self, s: ServerId) -> Vec<Action> {
         if s == self.me() || !self.ring.is_alive(s) {
             return Vec::new(); // stale or self-report
         }
@@ -553,12 +505,6 @@ impl ServerCore {
     /// fairness rule. Returns `None` when nothing needs the slot (or this
     /// server is alone).
     pub fn next_frame(&mut self) -> Option<RingFrame> {
-        let frame = self.pull_frame();
-        self.republish();
-        frame
-    }
-
-    fn pull_frame(&mut self) -> Option<RingFrame> {
         self.ring.successor()?;
         loop {
             // While resyncing, hold local initiations: a tag minted from

@@ -44,29 +44,32 @@ impl Ring {
     /// Delivers frames until the ring quiesces, collecting all actions.
     fn drive(&mut self) -> Vec<Action> {
         let mut actions = Vec::new();
-        loop {
-            let mut progressed = false;
-            for i in 0..self.servers.len() {
-                let Some(server) = self.servers[i].as_mut() else {
-                    continue;
-                };
-                let Some(successor) = server.successor() else {
-                    continue;
-                };
-                let Some(frame) = server.next_frame() else {
-                    continue;
-                };
-                progressed = true;
-                self.persist(i as u16);
-                if let Some(dest) = self.servers[successor.index()].as_mut() {
-                    actions.extend(dest.on_frame(frame));
-                    self.persist(successor.0);
-                }
-            }
-            if !progressed {
-                return actions;
+        while self.step(&mut actions) {}
+        actions
+    }
+
+    /// One pass: every live server hands at most one frame to its
+    /// successor. Returns whether any frame moved.
+    fn step(&mut self, actions: &mut Vec<Action>) -> bool {
+        let mut progressed = false;
+        for i in 0..self.servers.len() {
+            let Some(server) = self.servers[i].as_mut() else {
+                continue;
+            };
+            let Some(successor) = server.successor() else {
+                continue;
+            };
+            let Some(frame) = server.next_frame() else {
+                continue;
+            };
+            progressed = true;
+            self.persist(i as u16);
+            if let Some(dest) = self.servers[successor.index()].as_mut() {
+                actions.extend(dest.on_frame(frame));
+                self.persist(successor.0);
             }
         }
+        progressed
     }
 
     fn crash(&mut self, s: u16) -> Vec<Action> {
@@ -139,46 +142,76 @@ fn commits_reach_the_modeled_log_on_every_server() {
 
 #[test]
 fn restarted_server_resyncs_and_serves_missed_writes() {
-    let mut ring = Ring::new(3, durable_config());
-    write(&mut ring, 0, 1, Value::from_u64(1));
+    // The core's resync gate is the only thing holding reads on a
+    // restarted server, with the A2 read fast path off and on alike.
+    for config in [
+        durable_config(),
+        Config {
+            read_fast_path: true,
+            ..durable_config()
+        },
+    ] {
+        let fast = config.read_fast_path;
+        let mut ring = Ring::new(3, config.clone());
+        write(&mut ring, 0, 1, Value::from_u64(1));
 
-    ring.crash(1);
-    ring.drive();
-    // s1 misses this write entirely.
-    write(&mut ring, 0, 2, Value::from_u64(2));
+        ring.crash(1);
+        ring.drive();
+        // s1 misses this write entirely.
+        write(&mut ring, 0, 2, Value::from_u64(2));
 
-    ring.restart(1, durable_config());
-    assert!(ring.server(1).is_syncing());
-    // Restored state is the pre-crash value — reads must NOT see it yet.
-    let immediate = ring
-        .server(1)
-        .on_client_read(ObjectId::SINGLE, ClientId(9), RequestId(10));
-    assert!(immediate.is_empty(), "stale read served during resync");
+        ring.restart(1, config);
+        assert!(ring.server(1).is_syncing());
+        // Announcement circulates, predecessor re-sends state, sync
+        // completes — one ring pass at a time, with a read at s1 before
+        // every pass. Its restored state is the pre-crash value, so no
+        // read may be answered before the pass that ends the resync.
+        let mut actions = Vec::new();
+        let mut last_req = 9;
+        while ring.server(1).is_syncing() {
+            last_req += 1;
+            let immediate =
+                ring.server(1)
+                    .on_client_read(ObjectId::SINGLE, ClientId(9), RequestId(last_req));
+            assert!(
+                immediate.is_empty(),
+                "stale read served during resync (fast path {fast})"
+            );
+            assert!(ring.step(&mut actions), "rejoin never completed");
+            if ring.server(1).is_syncing() {
+                assert!(
+                    !actions
+                        .iter()
+                        .any(|a| matches!(a, Action::ReadReply { .. })),
+                    "read answered before the resync completed (fast path {fast})"
+                );
+            }
+        }
+        actions.extend(ring.drive());
+        for req in 10..=last_req {
+            assert_eq!(
+                read_value(&actions, req),
+                Some(Value::from_u64(2)),
+                "queued read {req} must see the missed write after resync (fast path {fast})"
+            );
+        }
 
-    // Announcement circulates, predecessor re-sends state, sync completes.
-    let actions = ring.drive();
-    assert!(!ring.server(1).is_syncing(), "rejoin never completed");
-    assert_eq!(
-        read_value(&actions, 10),
-        Some(Value::from_u64(2)),
-        "queued read must see the missed write after resync"
-    );
-
-    // The rejoined server participates in new writes again.
-    write(&mut ring, 1, 3, Value::from_u64(3));
-    for s in [0u16, 1, 2] {
-        let got = ring.server(s).on_client_read(
-            ObjectId::SINGLE,
-            ClientId(5),
-            RequestId(20 + u64::from(s)),
-        );
-        let mut all = got;
-        all.extend(ring.drive());
-        assert_eq!(
-            read_value(&all, 20 + u64::from(s)),
-            Some(Value::from_u64(3)),
-            "server {s} after rejoin"
-        );
+        // The rejoined server participates in new writes again.
+        write(&mut ring, 1, 3, Value::from_u64(3));
+        for s in [0u16, 1, 2] {
+            let got = ring.server(s).on_client_read(
+                ObjectId::SINGLE,
+                ClientId(5),
+                RequestId(20 + u64::from(s)),
+            );
+            let mut all = got;
+            all.extend(ring.drive());
+            assert_eq!(
+                read_value(&all, 20 + u64::from(s)),
+                Some(Value::from_u64(3)),
+                "server {s} after rejoin (fast path {fast})"
+            );
+        }
     }
 }
 

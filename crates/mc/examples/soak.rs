@@ -15,10 +15,8 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use hts_core::ReadCell;
 use hts_mc::{explore, spawn, Mode, Options};
 use hts_metrics::flight::{FlightRing, KIND_OP_BEGIN};
-use hts_types::{ServerId, Tag, Value};
 
 fn env_u64(name: &str, default: u64) -> u64 {
     match std::env::var(name) {
@@ -32,32 +30,6 @@ fn env_u64(name: &str, default: u64) -> u64 {
         }
         Err(_) => default,
     }
-}
-
-fn readcell_model() {
-    let cell = Arc::new(ReadCell::new());
-    let writer = {
-        let cell = Arc::clone(&cell);
-        spawn(move || {
-            for ts in 1..=3u64 {
-                cell.publish(Tag::new(ts, ServerId(0)), &Value::from_u64(ts), ts == 2);
-            }
-        })
-    };
-    let readers: Vec<_> = (0..2)
-        .map(|_| {
-            let cell = Arc::clone(&cell);
-            spawn(move || {
-                if let Some((tag, value)) = cell.try_read() {
-                    assert_eq!(value.as_u64(), Some(tag.ts), "torn read: {tag}");
-                }
-            })
-        })
-        .collect();
-    for r in readers {
-        r.join();
-    }
-    writer.join();
 }
 
 fn flight_ring_model() {
@@ -79,10 +51,7 @@ fn flight_ring_model() {
     }
 }
 
-const MODELS: &[(&str, fn())] = &[
-    ("readcell-soak", readcell_model),
-    ("flight-ring-soak", flight_ring_model),
-];
+const MODELS: &[(&str, fn())] = &[("flight-ring-soak", flight_ring_model)];
 
 fn main() {
     let secs = env_u64("HTS_MC_SOAK_SECS", 60);

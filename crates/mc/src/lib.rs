@@ -30,9 +30,9 @@
 //! are detected structurally via access-window overlap, so they are
 //! caught even though execution itself never produces torn bytes.
 //!
-//! The protocol crates consume the shims behind their `model-check`
-//! feature; with the feature off they compile to plain `std` types with
-//! zero overhead, and with it on but no execution active the shims pass
+//! hts-metrics consumes the shims behind its `model-check` feature;
+//! with the feature off they compile to plain `std` types with zero
+//! overhead, and with it on but no execution active the shims pass
 //! straight through, so ordinary tests are unaffected.
 
 mod exec;
@@ -43,18 +43,10 @@ pub mod shim;
 pub use explore::{check, explore, Failure, Mode, Options, Report};
 pub use shim::{spawn, McJoinHandle};
 
-/// std-shaped aliases so consumer crates can swap imports with one
-/// `cfg`: `use hts_mc::sync::{AtomicU64, UnsafeCell, spin_loop};`
-/// mirrors `std::sync::atomic` / `std::cell` / `std::hint` names.
+/// std-shaped aliases so a consumer crate can swap imports with one
+/// `cfg`: `use hts_mc::sync::{AtomicI64, AtomicU64};` mirrors
+/// `std::sync::atomic`.
 pub mod sync {
-    pub use crate::shim::spin_loop;
     pub type AtomicU64 = crate::shim::McAtomicU64;
-    pub type AtomicU32 = crate::shim::McAtomicU32;
-    pub type AtomicUsize = crate::shim::McAtomicUsize;
     pub type AtomicI64 = crate::shim::McAtomicI64;
-    pub type AtomicBool = crate::shim::McAtomicBool;
-    pub type UnsafeCell<T> = crate::shim::McUnsafeCell<T>;
-    pub type Mutex<T> = crate::shim::McMutex<T>;
-    pub type MutexGuard<'a, T> = crate::shim::McMutexGuard<'a, T>;
-    pub type Condvar = crate::shim::McCondvar;
 }

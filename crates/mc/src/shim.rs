@@ -197,17 +197,10 @@ macro_rules! mc_atomic_raw {
 }
 
 mc_atomic_common!(McAtomicU64, AtomicU64, u64, "u64");
-mc_atomic_common!(McAtomicU32, AtomicU32, u32, "u32");
-mc_atomic_common!(McAtomicUsize, AtomicUsize, usize, "usize");
 mc_atomic_common!(McAtomicI64, AtomicI64, i64, "i64");
-mc_atomic_common!(McAtomicBool, AtomicBool, bool, "bool");
 mc_atomic_raw!(McAtomicU64, u64);
-mc_atomic_raw!(McAtomicU32, u32);
-mc_atomic_raw!(McAtomicUsize, usize);
 mc_atomic_raw!(McAtomicI64, i64);
 mc_atomic_num!(McAtomicU64);
-mc_atomic_num!(McAtomicU32);
-mc_atomic_num!(McAtomicUsize);
 mc_atomic_num!(McAtomicI64);
 
 /// Model-checked `UnsafeCell`: accesses go through `with`/`with_mut`,

@@ -31,10 +31,11 @@
 //!   coalesced into one flush per burst); the sequential [`Client`] (one
 //!   operation in flight, the paper's §3 client) is a window-1 session.
 //!
-//! Performance experiments live on the simulator (`hts-bench`), where
-//! bandwidth is controlled; this runtime demonstrates the protocol
-//! end-to-end — see `examples/quickstart.rs` and the crash-recovery
-//! integration tests.
+//! The repo benchmark (`perf/`) and fig1's TCP rows (`hts-bench`)
+//! measure this runtime over loopback; the paper-figure experiments
+//! whose bandwidth must be controlled run on the simulator. See
+//! `examples/quickstart.rs` and the crash-recovery integration tests
+//! for the protocol end-to-end.
 //!
 //! # Examples
 //!

@@ -19,10 +19,10 @@
 //!   handshake; a completed hello hands the socket to its lane (ring
 //!   streams to the lane the handshake names, clients to their home
 //!   lane, `ClientId % lanes`) over an inject channel + eventfd wake.
-//! * **lane** — owns its protocol core, WAL, fast-path cells and every
-//!   socket routed to it. Cross-lane client traffic travels as
-//!   [`Inject`] messages between lanes (requests to the object's lane,
-//!   replies back to the socket's home lane).
+//! * **lane** — owns its protocol core, WAL and every socket routed to
+//!   it. Cross-lane client traffic travels as [`Inject`] messages
+//!   between lanes (requests to the object's lane, replies back to the
+//!   socket's home lane).
 //!
 //! Shutdown is deterministic: `ReactorHandle::stop` flips the shared
 //! flag, wakes every thread, and joins them; each lane deregisters and
@@ -40,7 +40,7 @@ use std::time::{Duration, Instant};
 
 use bytes::BytesMut;
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use hts_core::{Action, BatchConfig, LaneMap, MultiObjectServer, ReadCellRegistry};
+use hts_core::{Action, BatchConfig, LaneMap, MultiObjectServer};
 use hts_poll::{
     connect_nonblocking, read_nb, Event, Events, Interest, Poller, ReadStatus, Token, Waker,
     WriteBuf,
@@ -101,9 +101,6 @@ impl ReactorHandle {
 pub(crate) fn spawn(config: ServerConfig) -> io::Result<(ReactorHandle, SocketAddr)> {
     let lanes = usize::from(config.config.lanes.max(1));
     let shutdown = Arc::new(AtomicBool::new(false));
-    let cells: Vec<Arc<ReadCellRegistry>> = (0..lanes)
-        .map(|_| Arc::new(ReadCellRegistry::new()))
-        .collect();
 
     let mut plumbing = Vec::with_capacity(lanes);
     for _ in 0..lanes {
@@ -152,7 +149,6 @@ pub(crate) fn spawn(config: ServerConfig) -> io::Result<(ReactorHandle, SocketAd
                 waker,
                 injects,
                 peers: peers.clone(),
-                cells: cells.clone(),
                 shutdown: Arc::clone(&shutdown),
             },
             wal_state,
@@ -278,7 +274,6 @@ struct LanePlumbing {
     waker: Arc<Waker>,
     injects: Receiver<Inject>,
     peers: Vec<(Sender<Inject>, Arc<Waker>)>,
-    cells: Vec<Arc<ReadCellRegistry>>,
     shutdown: Arc<AtomicBool>,
 }
 
@@ -293,7 +288,6 @@ struct Lane {
     injects: Receiver<Inject>,
     peers: Vec<(Sender<Inject>, Arc<Waker>)>,
     map: LaneMap,
-    cells: Vec<Arc<ReadCellRegistry>>,
     shutdown: Arc<AtomicBool>,
     next_token: u64,
     slots: HashMap<u64, SlotKind>,
@@ -322,8 +316,7 @@ impl Lane {
         // drain acknowledgement: one batch on the wire, one queued
         // behind it.
         let pipeline_cap = batching.max_frames.max(1) * 2;
-        let cell = Arc::clone(&plumbing.cells[usize::from(lc.lane)]);
-        let (core, wal) = build_core(lc.id, n, lc.config.clone(), wal_state, cell);
+        let (core, wal) = build_core(lc.id, n, lc.config.clone(), wal_state);
         Lane {
             lc,
             batching,
@@ -335,7 +328,6 @@ impl Lane {
             injects: plumbing.injects,
             peers: plumbing.peers,
             map: LaneMap::new(lanes),
-            cells: plumbing.cells,
             shutdown: plumbing.shutdown,
             next_token: WAKER_TOKEN + 1,
             slots: HashMap::new(),
@@ -442,9 +434,8 @@ impl Lane {
                 }
             }
         }
-        // Coalesce the burst's inline replies (fast reads, stats) into
-        // one flush; a writable-only event resumes a partial write the
-        // same way.
+        // Coalesce the burst's inline replies (stats) into one flush; a
+        // writable-only event resumes a partial write the same way.
         if self.flush_client(&mut conn).is_err() {
             self.client_down(token, conn);
             return;
@@ -455,27 +446,6 @@ impl Lane {
     fn on_client_msg(&mut self, conn: &mut ClientConn, msg: Message) {
         let c = conn.id;
         match msg {
-            // The lock-free read fast path: answer from the object's
-            // published snapshot cell without touching the protocol
-            // core (the cell is blocked exactly when the core would
-            // make the read wait).
-            Message::ReadReq { object, request } if self.lc.config.read_fast_path => {
-                let lane = usize::from(self.map.lane_of(object));
-                if let Some((_, value)) = self.cells[lane].try_read(object) {
-                    hts_metrics::counter!("hts_net_read_fastpath_hits_total").inc();
-                    self.queue_reply(
-                        conn,
-                        &Message::ReadAck {
-                            object,
-                            request,
-                            value,
-                        },
-                    );
-                } else {
-                    hts_metrics::counter!("hts_net_read_fastpath_fallbacks_total").inc();
-                    self.route_request(c, Message::ReadReq { object, request });
-                }
-            }
             // Answered from the process-wide registry without touching
             // the protocol core: stats are observational and never
             // consume an op slot.

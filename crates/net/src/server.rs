@@ -16,9 +16,8 @@ use std::collections::VecDeque;
 use std::io;
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
-use hts_core::{Action, Config, Durability, MultiObjectServer, ReadCellRegistry};
+use hts_core::{Action, Config, Durability, MultiObjectServer};
 use hts_types::{codec, ClientId, Message, RingFrame, ServerId};
 use hts_wal::{recover, FsyncPolicy, Recovery, Wal, WalOptions, WalRecord};
 
@@ -96,17 +95,13 @@ pub(crate) fn recover_lanes(config: &ServerConfig) -> io::Result<Vec<Option<(Wal
 }
 
 /// Builds one lane's protocol core from its recovered WAL state:
-/// restores the registers the log proves committed, flags a restart
-/// rejoin when the directory already held a log, and attaches the
-/// lane's fast-path cells only **after** the rejoin gate is armed (the
-/// attach republishes every core with its resync bit already set, so a
-/// restarted server's restored state is never readable early).
+/// restores the registers the log proves committed and flags a restart
+/// rejoin when the directory already held a log.
 pub(crate) fn build_core(
     id: ServerId,
     n: u16,
     config: Config,
     wal_state: Option<(Wal, Recovery)>,
-    cells: Arc<ReadCellRegistry>,
 ) -> (MultiObjectServer, Option<Wal>) {
     let mut core = MultiObjectServer::new(id, n, config);
     let mut wal = None;
@@ -123,7 +118,6 @@ pub(crate) fn build_core(
         }
         wal = Some(w);
     }
-    core.attach_read_cells(cells);
     (core, wal)
 }
 

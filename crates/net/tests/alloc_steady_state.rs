@@ -6,9 +6,7 @@
 //! * a steady-state [`NbMessageReader`] loop over value-free messages
 //!   costs at most one small allocation per message (the shared
 //!   buffer's refcount block, reclaimed again by the recycler) — never
-//!   anything proportional to message size;
-//! * the seqlock [`ReadCell`] fast path answers reads with zero
-//!   allocations per op.
+//!   anything proportional to message size.
 //!
 //! Everything runs in one `#[test]` so no parallel test thread pollutes
 //! the counts (this file is its own test binary, so the allocator hook
@@ -18,9 +16,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::Cursor;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use hts_core::ReadCell;
 use hts_net::{MessagePoll, NbMessageReader};
-use hts_types::{codec, Message, ObjectId, RequestId, ServerId, Tag, Value};
+use hts_types::{codec, Message, ObjectId, RequestId, Value};
 
 struct CountingAlloc;
 
@@ -123,25 +120,5 @@ fn steady_state_allocation_profile() {
         allocs <= 56,
         "steady-state value-free reads must cost at most one allocation \
          per message (the refcount block); counted {allocs} over 56 reads"
-    );
-
-    // --- ReadCell fast path: zero allocations per read. ---
-    let cell = ReadCell::new();
-    cell.publish(
-        Tag::new(7, ServerId(1)),
-        &Value::filled(3, 64 * 1024),
-        false,
-    );
-    let (allocs, ()) = allocs_during(|| {
-        for _ in 0..1_000 {
-            let (tag, value) = cell.try_read().expect("unblocked cell answers");
-            assert_eq!(tag.ts, 7);
-            assert_eq!(value.len(), 64 * 1024);
-        }
-    });
-    assert_eq!(
-        allocs, 0,
-        "the seqlock read path must be allocation-free: the value clone \
-         is a refcount bump"
     );
 }

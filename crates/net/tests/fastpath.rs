@@ -1,7 +1,7 @@
-//! End-to-end tests of the lock-free read fast path over real TCP: reads
-//! answered by the lane thread that owns the connection straight from
-//! the seqlock cell, without a call into the protocol core — plus a
-//! lincheck run with the fast path enabled across a kill + restart.
+//! End-to-end tests of the read fast path (`Config::read_fast_path`, the
+//! core's A2 rule) over real TCP: reads answered at once by the core are
+//! counted as hits — plus a lincheck run with the fast path enabled
+//! across a kill + restart.
 
 use std::fs;
 use std::path::PathBuf;
@@ -23,9 +23,8 @@ fn nanos_since(epoch: Instant) -> u64 {
     epoch.elapsed().as_nanos() as u64
 }
 
-/// With the ring idle, every read is answerable from the cell on the
-/// lane thread — the hit counter must move, and the values must be
-/// exactly what the protocol core would have served.
+/// With the ring idle, the core answers every read at once — the hit
+/// counter must move, and the values must be the last write.
 #[cfg(feature = "metrics")]
 #[test]
 fn idle_ring_reads_hit_the_fast_path() {
@@ -39,16 +38,14 @@ fn idle_ring_reads_hit_the_fast_path() {
     .expect("launch");
     let mut client = Client::connect(1, cluster.addrs()).expect("client");
 
-    // Republish happens inside the core before the write ack flushes, so
-    // by the time this returns the coordinator's cell holds the value.
     client.write(Value::from_u64(41)).expect("warm-up write");
     client.write(Value::from_u64(42)).expect("write");
 
-    let hits_before = hts_metrics::counter("hts_net_read_fastpath_hits_total").get();
+    let hits_before = hts_metrics::counter("hts_core_read_fastpath_hits_total").get();
     for _ in 0..16 {
         assert_eq!(client.read().expect("read"), Value::from_u64(42));
     }
-    let hits_after = hts_metrics::counter("hts_net_read_fastpath_hits_total").get();
+    let hits_after = hts_metrics::counter("hts_core_read_fastpath_hits_total").get();
     assert!(
         hits_after >= hits_before + 16,
         "expected >= 16 fast-path hits, counter moved {hits_before} -> {hits_after}"
@@ -63,9 +60,8 @@ fn idle_ring_reads_hit_the_fast_path() {
 }
 
 /// Concurrent writers and readers with the fast path on, a server
-/// bounced mid-run, and the full history checked for atomicity: the
-/// snapshot shortcut must never serve a value the protocol core could
-/// not have served.
+/// bounced mid-run, and the full history checked for atomicity: the A2
+/// rule must never serve a value a read could not linearize on.
 #[test]
 fn fast_path_stays_atomic_through_kill_restart() {
     let base = tmp_base("lincheck");
@@ -89,7 +85,7 @@ fn fast_path_stays_atomic_through_kill_restart() {
             for i in 0..12u64 {
                 let id = ClientId(10 + t);
                 if i % 2 == 1 {
-                    // Read-heavy mix: half the ops go through the cell.
+                    // Read-heavy mix: half the ops are reads.
                     let op = {
                         let mut h = history.lock().unwrap();
                         h.invoke_read(id, nanos_since(epoch))
@@ -113,7 +109,7 @@ fn fast_path_stays_atomic_through_kill_restart() {
     }
 
     // Bounce s2 while the workers hammer the ring: its restored state
-    // must stay unreadable (cell attached blocked) until resync ends.
+    // must stay unreadable (the core holds reads) until resync ends.
     std::thread::sleep(Duration::from_millis(60));
     cluster.crash(ServerId(2)).expect("crash");
     std::thread::sleep(Duration::from_millis(150));

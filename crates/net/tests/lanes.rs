@@ -61,6 +61,62 @@ fn objects_roundtrip_across_lanes() {
 }
 
 #[test]
+fn cross_lane_fast_path_reads_return_the_last_write() {
+    // With the read fast path on, a read for an object on another lane
+    // hops to that lane's core like any other request. Clients homed on
+    // both lanes (`ClientId % lanes`) write objects on both lanes, then
+    // read each one back through the writing server and another server:
+    // every read must return the value last written.
+    let config = Config {
+        read_fast_path: true,
+        ..laned_config(2)
+    };
+    let cluster = Cluster::launch_with(3, config).expect("launch laned cluster");
+    let map = &LaneMap::new(2);
+    let mut workers = Vec::new();
+    for t in 0..2u32 {
+        let addrs = cluster.addrs();
+        // Two client-private objects per lane.
+        let objects: Vec<ObjectId> = (0..2u16)
+            .flat_map(|lane| {
+                (100 * (t + 1)..)
+                    .map(ObjectId)
+                    .filter(move |&o| map.lane_of(o) == lane)
+                    .take(2)
+            })
+            .collect();
+        workers.push(std::thread::spawn(move || {
+            let mut writer =
+                Client::connect_preferring(10 + t, addrs.clone(), ServerId(0)).expect("writer");
+            let mut reader =
+                Client::connect_preferring(21 + t, addrs, ServerId(1 + t as u16)).expect("reader");
+            writer.set_timeout(Duration::from_millis(500));
+            reader.set_timeout(Duration::from_millis(500));
+            for round in 0..10u64 {
+                for (k, &object) in objects.iter().enumerate() {
+                    let value = Value::from_u64(u64::from(t) * 1_000 + round * 10 + k as u64);
+                    writer.write_to(object, value.clone()).expect("write");
+                    assert_eq!(
+                        writer.read_from(object).expect("read via writer"),
+                        value,
+                        "{object:?} read through the writing server"
+                    );
+                    assert_eq!(
+                        reader.read_from(object).expect("read via reader"),
+                        value,
+                        "{object:?} read through another server"
+                    );
+                }
+            }
+        }));
+    }
+    for worker in workers {
+        worker.join().expect("worker");
+    }
+    cluster.shutdown();
+}
+
+#[test]
 fn multi_lane_lincheck_under_kill_restart() {
     // Four workers, each on its own object (objects spread across both
     // lanes by the shared placement), aggressive batching, and a server
